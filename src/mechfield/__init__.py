@@ -1,9 +1,10 @@
 """State-space mechanics and quadrature-based field calculators.
 
 The library splits into small layers: :mod:`mechfield.vectors` holds the
-3D vector and position algebra, :mod:`mechfield.solver` the generic
-differential-equation machinery, :mod:`mechfield.mechanics` concrete
-physics (gravity, oscillators, spring chains, pendulums),
+3D vector and position algebra, :mod:`mechfield.solver` the flat state layout
+and the evolution methods written once against it,
+:mod:`mechfield.mechanics` concrete physics as acceleration functions
+(gravity, oscillators, spring chains, pendulums),
 :mod:`mechfield.fields` the electric and magnetic field integrators, and
 :mod:`mechfield.cli` a scenario-running command line.
 """
@@ -23,41 +24,27 @@ from .fields import (
     magnetic_field_of_line_current,
 )
 from .mechanics import (
-    AngularState,
-    AngularStateDeriv,
     EARTH_MASS,
     GRAVITATIONAL_CONSTANT,
-    SystemAccFunc,
-    SystemState,
-    SystemStateDeriv,
     damped_driven_osc,
-    euler_cromer_angular_step,
-    euler_cromer_system_step,
     gravity_accel,
-    pendulum_deriv,
+    pendulum_accel,
     satellite_accel,
     spring_chain_accel,
-    system_equation,
-    tx_pairs,
 )
 from .solver import (
     AccelerationFunction,
     DifferentialEquation,
     EvolutionMethod,
     InitialValueProblem,
-    ParticleState,
-    ParticleStateDeriv,
+    State,
     euler_cromer_step,
     euler_method,
-    euler_step,
-    particle_equation,
     rk4_method,
-    shift,
+    second_order_equation,
     solution_stream,
-    solve_states,
 )
 from .vectors import (
-    ORIGIN,
     Position,
     Vec3,
     X_HAT,
@@ -67,7 +54,6 @@ from .vectors import (
     displacement,
     format_scalar,
     parse_triple,
-    vec_sum,
 )
 
 __all__ = [
@@ -79,43 +65,28 @@ __all__ = [
     "X_HAT",
     "Y_HAT",
     "Z_HAT",
-    "ORIGIN",
-    "vec_sum",
     "displacement",
     "format_scalar",
     "parse_triple",
     # solver
-    "ParticleState",
-    "ParticleStateDeriv",
+    "State",
     "AccelerationFunction",
     "DifferentialEquation",
     "EvolutionMethod",
     "InitialValueProblem",
-    "shift",
-    "euler_step",
+    "second_order_equation",
     "euler_cromer_step",
-    "particle_equation",
     "euler_method",
     "rk4_method",
     "solution_stream",
-    "solve_states",
     # mechanics
     "GRAVITATIONAL_CONSTANT",
     "EARTH_MASS",
-    "SystemState",
-    "SystemStateDeriv",
-    "SystemAccFunc",
-    "AngularState",
-    "AngularStateDeriv",
     "satellite_accel",
     "damped_driven_osc",
-    "euler_cromer_system_step",
-    "system_equation",
     "gravity_accel",
     "spring_chain_accel",
-    "pendulum_deriv",
-    "euler_cromer_angular_step",
-    "tx_pairs",
+    "pendulum_accel",
     # fields
     "COULOMB_CONSTANT",
     "BIOT_SAVART_CONSTANT",

@@ -15,6 +15,7 @@ source.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -36,6 +37,16 @@ EXIT_DOMAIN = 3
 
 METHODS = ("euler", "euler-cromer", "rk4")
 
+SCENARIO_PARAMS = tuple(dict.fromkeys(name for scenario in SCENARIOS.values() for name in scenario.defaults))
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,34 +57,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run a scenario and emit its trajectory as CSV")
     simulate.add_argument("scenario", choices=sorted(SCENARIOS), help="scenario name")
-    simulate.add_argument("--dt", type=float, default=None, help="timestep in seconds")
+    simulate.add_argument("--dt", type=_finite_float, default=None, help="timestep in seconds")
     simulate.add_argument("--steps", type=int, default=None, help="number of steps; output has steps+1 rows")
     simulate.add_argument("--method", choices=METHODS, default="euler-cromer", help="evolution method")
     simulate.add_argument("--out", default=None, help="output file (default: stdout)")
     scenario_params = simulate.add_argument_group("scenario parameters")
-    scenario_params.add_argument("--beta", type=float, default=None, help="ddho: damping constant, kg/s")
-    scenario_params.add_argument("--amp", type=float, default=None, help="ddho: drive amplitude, N")
-    scenario_params.add_argument("--omega", type=float, default=None, help="ddho: drive angular frequency, rad/s")
-    scenario_params.add_argument("--g", type=float, default=None, help="pendulum: gravitational acceleration, m/s^2")
-    scenario_params.add_argument("--length", type=float, default=None, help="pendulum: arm length, m")
-    scenario_params.add_argument("--theta0", type=float, default=None, help="pendulum: initial angle, rad")
-    scenario_params.add_argument("--omega0", type=float, default=None, help="pendulum: initial angular velocity, rad/s")
+    scenario_params.add_argument("--beta", type=_finite_float, default=None, help="ddho: damping constant, kg/s")
+    scenario_params.add_argument("--amp", type=_finite_float, default=None, help="ddho: drive amplitude, N")
+    scenario_params.add_argument("--omega", type=_finite_float, default=None, help="ddho: drive angular frequency, rad/s")
+    scenario_params.add_argument("--g", type=_finite_float, default=None, help="pendulum: gravitational acceleration, m/s^2")
+    scenario_params.add_argument("--length", type=_finite_float, default=None, help="pendulum: arm length, m")
+    scenario_params.add_argument("--theta0", type=_finite_float, default=None, help="pendulum: initial angle, rad")
+    scenario_params.add_argument("--omega0", type=_finite_float, default=None, help="pendulum: initial angular velocity, rad/s")
     scenario_params.add_argument("--particles", type=int, default=None, help="spring-chain: particle count")
-    scenario_params.add_argument("--k", type=float, default=None, help="spring-chain: spring constant, N/m")
-    scenario_params.add_argument("--spacing", type=float, default=None, help="spring-chain: lattice spacing, m")
-    scenario_params.add_argument("--mass", type=float, default=None, help="spring-chain: particle mass, kg")
-    scenario_params.add_argument("--amplitude", type=float, default=None, help="spring-chain: pluck amplitude, m")
+    scenario_params.add_argument("--k", type=_finite_float, default=None, help="spring-chain: spring constant, N/m")
+    scenario_params.add_argument("--spacing", type=_finite_float, default=None, help="spring-chain: lattice spacing, m")
+    scenario_params.add_argument("--mass", type=_finite_float, default=None, help="spring-chain: particle mass, kg")
+    scenario_params.add_argument("--amplitude", type=_finite_float, default=None, help="spring-chain: pluck amplitude, m")
     simulate.set_defaults(handler=_cmd_simulate)
 
     def add_field_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("kind", choices=("e-line", "b-loop"), help="field source kind")
-        p.add_argument("--lambda", dest="lambda_", type=float, default=1e-9,
+        p.add_argument("--lambda", dest="lambda_", type=_finite_float, default=1e-9,
                        help="e-line: linear charge density, C/m (default 1e-9)")
-        p.add_argument("--length", type=float, default=1.0,
+        p.add_argument("--length", type=_finite_float, default=1.0,
                        help="e-line: segment length, m (default 1)")
-        p.add_argument("--current", type=float, default=1.0,
+        p.add_argument("--current", type=_finite_float, default=1.0,
                        help="b-loop: current, A (default 1)")
-        p.add_argument("--radius", type=float, default=1.0,
+        p.add_argument("--radius", type=_finite_float, default=1.0,
                        help="b-loop: loop radius, m (default 1)")
         p.add_argument("--intervals", type=int, default=1000,
                        help="quadrature intervals (default 1000)")
@@ -86,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = sub.add_parser("field-grid", help="sample a field over a rectangular grid to CSV")
     add_field_arguments(grid)
     for axis in "xyz":
-        grid.add_argument(f"--{axis}-min", type=float, default=0.0, help=f"grid {axis} start, m")
-        grid.add_argument(f"--{axis}-max", type=float, default=0.0, help=f"grid {axis} end, m")
+        grid.add_argument(f"--{axis}-min", type=_finite_float, default=0.0, help=f"grid {axis} start, m")
+        grid.add_argument(f"--{axis}-max", type=_finite_float, default=0.0, help=f"grid {axis} end, m")
         grid.add_argument(f"--{axis}-count", type=int, default=1, help=f"grid points along {axis}")
     grid.add_argument("--out", default=None, help="output file (default: stdout)")
     grid.set_defaults(handler=_cmd_field_grid)
@@ -114,10 +125,8 @@ def _resolve_params(scenario: Scenario, args: argparse.Namespace) -> dict[str, f
     Returns None (after printing a message) if a flag was given that the
     scenario does not take.
     """
-    all_params = ("beta", "amp", "omega", "g", "length", "theta0", "omega0",
-                  "particles", "k", "spacing", "mass", "amplitude")
     params = dict(scenario.defaults)
-    for name in all_params:
+    for name in SCENARIO_PARAMS:
         value = getattr(args, name)
         if value is None:
             continue

@@ -1,136 +1,55 @@
-"""Concrete mechanics: acceleration functions and richer state spaces.
+"""Concrete mechanics: acceleration functions on the flat state layout.
 
-Single-particle problems are defined by an acceleration function; the
-satellite and the damped driven oscillator below are the canonical
-examples. Systems of particles use :class:`SystemState`, covering mutual
-gravitation and nearest-neighbor spring chains. A pendulum rotating about
-a fixed pivot is best described by an angle and an angular velocity, so it
-gets its own :class:`AngularState`.
+Everything here is, or builds, an acceleration function
+``accel(t, q, v)`` for :mod:`mechfield.solver`: given the time, the n
+coordinates and the n velocities as floats, it returns the n
+accelerations. A particle has ``q = (x, y, z)``; N particles concatenate
+their triples, ``(x1, y1, z1, x2, ...)``; a pendulum about a fixed pivot
+has ``q = (theta,)``. The satellite and the damped driven oscillator are
+single particles, mutual gravitation and spring chains are systems of
+particles.
 
-All states work with the generic evolution methods in
-:mod:`mechfield.solver`; the Euler-Cromer variants for systems and angular
-states live here because they need to know which part of the state is the
-velocity.
+Each function performs its floating-point operations in the order of the
+equivalent ``Vec3`` expression (sums start from 0.0, magnitudes are
+``sqrt(x*x + y*y + z*z)``): the CSV bytes, and the golden hashes in the
+tests, depend on that order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DomainError
-from .solver import AccelerationFunction, DifferentialEquation, ParticleState
-from .vectors import Vec3, X_HAT, ZERO
+from .solver import AccelerationFunction
 
 __all__ = [
     "GRAVITATIONAL_CONSTANT",
     "EARTH_MASS",
-    "SystemState",
-    "SystemStateDeriv",
-    "SystemAccFunc",
-    "AngularState",
-    "AngularStateDeriv",
     "satellite_accel",
     "damped_driven_osc",
-    "euler_cromer_system_step",
-    "system_equation",
     "gravity_accel",
     "spring_chain_accel",
-    "pendulum_deriv",
-    "euler_cromer_angular_step",
-    "tx_pairs",
+    "pendulum_accel",
 ]
 
 GRAVITATIONAL_CONSTANT = 6.67e-11  # N m^2 / kg^2
 EARTH_MASS = 5.98e24  # kg
 
 
-class SystemState(NamedTuple):
-    """Time plus one (displacement, velocity) pair per particle.
-
-    Works for any number of particles; nothing in the type stops code from
-    changing the particle count by accident, so every operation here
-    asserts that the count is preserved.
-    """
-
-    t: float
-    particles: tuple[tuple[Vec3, Vec3], ...]
-
-    def shift(self, d: "SystemStateDeriv") -> "SystemState":
-        if len(d.rates) != len(self.particles):
-            raise ValueError("derivative particle count does not match state")
-        return SystemState(
-            self.t + d.dt,
-            tuple((r + dr, v + dv) for (r, v), (dr, dv) in zip(self.particles, d.rates)),
-        )
-
-
-class SystemStateDeriv(NamedTuple):
-    """Rates of change of a :class:`SystemState`; adds and scales like a vector."""
-
-    dt: float
-    rates: tuple[tuple[Vec3, Vec3], ...]
-
-    def __add__(self, other: "SystemStateDeriv") -> "SystemStateDeriv":  # type: ignore[override]
-        if len(self.rates) != len(other.rates):
-            raise ValueError("derivative particle counts differ")
-        return SystemStateDeriv(
-            self.dt + other.dt,
-            tuple((a + c, b + d) for (a, b), (c, d) in zip(self.rates, other.rates)),
-        )
-
-    def __mul__(self, scalar: float) -> "SystemStateDeriv":  # type: ignore[override]
-        return SystemStateDeriv(
-            self.dt * scalar,
-            tuple((dr * scalar, dv * scalar) for dr, dv in self.rates),
-        )
-
-    __rmul__ = __mul__  # type: ignore[assignment]
-
-
-# One acceleration per particle, in particle order.
-SystemAccFunc = Callable[[SystemState], Sequence[Vec3]]
-
-
-class AngularState(NamedTuple):
-    """Time, angle (rad), and angular velocity (rad/s) about a fixed pivot."""
-
-    t: float
-    theta: float
-    omega: float
-
-    def shift(self, d: "AngularStateDeriv") -> "AngularState":
-        return AngularState(self.t + d.dt, self.theta + d.dtheta, self.omega + d.domega)
-
-
-class AngularStateDeriv(NamedTuple):
-    dt: float
-    dtheta: float
-    domega: float
-
-    def __add__(self, other: "AngularStateDeriv") -> "AngularStateDeriv":  # type: ignore[override]
-        return AngularStateDeriv(
-            self.dt + other.dt, self.dtheta + other.dtheta, self.domega + other.domega
-        )
-
-    def __mul__(self, scalar: float) -> "AngularStateDeriv":  # type: ignore[override]
-        return AngularStateDeriv(self.dt * scalar, self.dtheta * scalar, self.domega * scalar)
-
-    __rmul__ = __mul__  # type: ignore[assignment]
-
-
-def satellite_accel(state: ParticleState) -> Vec3:
+def satellite_accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
     """Acceleration of a satellite about a fixed Earth at the origin.
 
     Inverse-square gravity of magnitude G M / |r|^2 pointing back along
     the displacement; depends only on where the satellite is, not on the
     time or its velocity.
     """
-    r = state.r
-    dist = r.magnitude()
+    x, y, z = q
+    dist = math.sqrt(x * x + y * y + z * z)
     if dist == 0.0:
         raise DomainError("satellite at origin")
-    return r * (-GRAVITATIONAL_CONSTANT * EARTH_MASS / (dist * dist * dist))
+    scale = -GRAVITATIONAL_CONSTANT * EARTH_MASS / (dist * dist * dist)
+    return (x * scale, y * scale, z * scale)
 
 
 def damped_driven_osc(beta: float, drive_amp: float, drive_freq: float) -> AccelerationFunction:
@@ -141,55 +60,26 @@ def damped_driven_osc(beta: float, drive_amp: float, drive_freq: float) -> Accel
     ``drive_freq`` (rad/s) along the x axis. With beta = drive_amp = 0 this
     is the plain simple harmonic oscillator.
     """
+    damping = -beta
 
-    def accel(state: ParticleState) -> Vec3:
-        t, r, v = state
-        force_damp = v * (-beta)
-        force_drive = X_HAT * (drive_amp * math.cos(drive_freq * t))
-        force_spring = -r
-        return force_damp + force_drive + force_spring  # mass = 1
+    def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
+        x, y, z = q
+        vx, vy, vz = v
+        drive = drive_amp * math.cos(drive_freq * t)
+        # The drive acts along x as the vector (1, 0, 0) * drive. Its y and
+        # z terms, 0.0 * drive, stay: they are -0.0 when drive < 0, which
+        # decides the sign of a zero acceleration.
+        off_axis = 0.0 * drive
+        return (  # damping + drive + spring, mass = 1
+            vx * damping + drive + -x,
+            vy * damping + off_axis + -y,
+            vz * damping + off_axis + -z,
+        )
 
     return accel
 
 
-def euler_cromer_system_step(accel: SystemAccFunc, dt: float, state: SystemState) -> SystemState:
-    """Semi-implicit step for a whole system.
-
-    Every particle's velocity updates first; its position then moves with
-    the new velocity. Raises ValueError if the acceleration function
-    returns the wrong number of accelerations.
-    """
-    accels = accel(state)
-    if len(accels) != len(state.particles):
-        raise ValueError(
-            f"acceleration function returned {len(accels)} values "
-            f"for {len(state.particles)} particles"
-        )
-    updated = []
-    for (r, v), a in zip(state.particles, accels):
-        v2 = v + a * dt
-        updated.append((r + v2 * dt, v2))
-    result = SystemState(state.t + dt, tuple(updated))
-    assert len(result.particles) == len(state.particles)
-    return result
-
-
-def system_equation(accel: SystemAccFunc) -> DifferentialEquation:
-    """Differential equation for a system: dr/dt = v, dv/dt = a, per particle."""
-
-    def equation(state: SystemState) -> SystemStateDeriv:
-        accels = accel(state)
-        if len(accels) != len(state.particles):
-            raise ValueError(
-                f"acceleration function returned {len(accels)} values "
-                f"for {len(state.particles)} particles"
-            )
-        return SystemStateDeriv(1.0, tuple((v, a) for (_, v), a in zip(state.particles, accels)))
-
-    return equation
-
-
-def gravity_accel(masses: Sequence[float]) -> SystemAccFunc:
+def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     """Mutual Newtonian gravitation between point masses.
 
     The returned function expects exactly ``len(masses)`` particles and
@@ -201,24 +91,29 @@ def gravity_accel(masses: Sequence[float]) -> SystemAccFunc:
     if not ms or any(m <= 0.0 for m in ms):
         raise ValueError("masses must be a non-empty sequence of positive values")
 
-    def accel(state: SystemState) -> list[Vec3]:
-        if len(state.particles) != len(ms):
+    def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
+        if len(q) != 3 * len(ms):
             raise ValueError(
-                f"state has {len(state.particles)} particles but {len(ms)} masses were given"
+                f"state has {len(q) // 3} particles but {len(ms)} masses were given"
             )
-        positions = [r for r, _ in state.particles]
-        out = []
-        for i, r_i in enumerate(positions):
-            total = ZERO
-            for j, r_j in enumerate(positions):
+        points = [q[i:i + 3] for i in range(0, len(q), 3)]
+        out: list[float] = []
+        for i, (xi, yi, zi) in enumerate(points):
+            ax = ay = az = 0.0
+            for j, (xj, yj, zj) in enumerate(points):
                 if j == i:
                     continue
-                d = r_j - r_i
-                dist = d.magnitude()
+                dx = xj - xi
+                dy = yj - yi
+                dz = zj - zi
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
-                total = total + d * (GRAVITATIONAL_CONSTANT * ms[j] / (dist * dist * dist))
-            out.append(total)
+                scale = GRAVITATIONAL_CONSTANT * ms[j] / (dist * dist * dist)
+                ax = ax + dx * scale
+                ay = ay + dy * scale
+                az = az + dz * scale
+            out += (ax, ay, az)
         return out
 
     return accel
@@ -226,7 +121,7 @@ def gravity_accel(masses: Sequence[float]) -> SystemAccFunc:
 
 def spring_chain_accel(
     k: float, spacing: float, mass: float, fixed_ends: bool = True
-) -> SystemAccFunc:
+) -> AccelerationFunction:
     """Point masses joined by nearest-neighbor Hooke's-law springs.
 
     The chain lies along the x axis: particle i has equilibrium position
@@ -235,71 +130,60 @@ def spring_chain_accel(
     x = 0 and x = (n+1) * spacing, one spacing beyond each end particle,
     so the chain supports standing waves. Displacements are full 3D
     vectors, so both longitudinal and transverse motion work; which one
-    you get is a matter of initial conditions.
+    you get is a matter of initial conditions. Two neighbors at the same
+    point give a spring of no direction, which is a :class:`DomainError`.
     """
     if k <= 0.0 or spacing <= 0.0 or mass <= 0.0:
         raise ValueError("k, spacing, and mass must all be positive")
+    inverse_mass = 1.0 / mass
 
-    def spring_force(here: Vec3, neighbor: Vec3) -> Vec3:
-        d = neighbor - here
-        length = d.magnitude()
-        # natural-length spring: pulls when stretched, pushes when compressed
-        return d * (k * (length - spacing) / length)
-
-    def accel(state: SystemState) -> list[Vec3]:
-        particles = state.particles
-        n = len(particles)
+    def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
+        n = len(q) // 3
         if n < 1:
             raise ValueError("spring chain needs at least one particle")
-        points = [r for r, _ in particles]
+        points = [q[i:i + 3] for i in range(0, len(q), 3)]
         if fixed_ends:
-            points = [ZERO] + points + [Vec3((n + 1) * spacing, 0.0, 0.0)]
+            points = [(0.0, 0.0, 0.0)] + points + [((n + 1) * spacing, 0.0, 0.0)]
             offset = 1
         else:
             offset = 0
-        out = []
-        for i in range(n):
-            here = points[offset + i]
-            force = ZERO
-            if offset + i - 1 >= 0:
-                force = force + spring_force(here, points[offset + i - 1])
-            if offset + i + 1 < len(points):
-                force = force + spring_force(here, points[offset + i + 1])
-            out.append(force * (1.0 / mass))
+        out: list[float] = []
+        for i in range(offset, offset + n):
+            x, y, z = points[i]
+            fx = fy = fz = 0.0
+            for j in (i - 1, i + 1):
+                if not 0 <= j < len(points):
+                    continue
+                xj, yj, zj = points[j]
+                dx = xj - x
+                dy = yj - y
+                dz = zj - z
+                length = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if length == 0.0:
+                    raise DomainError("spring chain neighbors coincide")
+                # natural-length spring: pulls when stretched, pushes when compressed
+                scale = k * (length - spacing) / length
+                fx = fx + dx * scale
+                fy = fy + dy * scale
+                fz = fz + dz * scale
+            out += (fx * inverse_mass, fy * inverse_mass, fz * inverse_mass)
         return out
 
     return accel
 
 
-def pendulum_deriv(g: float, length: float) -> DifferentialEquation:
+def pendulum_accel(g: float, length: float) -> AccelerationFunction:
     """Pendulum about a fixed pivot: theta'' = -(g / length) sin(theta).
 
-    This is the point-pendulum equation; a physical pendulum reduces to it
-    with ``length`` read as I / (m d).
+    The state's one coordinate is the angle (rad) and its velocity the
+    angular velocity (rad/s). This is the point-pendulum equation; a
+    physical pendulum reduces to it with ``length`` read as I / (m d).
     """
     if g <= 0.0 or length <= 0.0:
         raise ValueError("g and length must be positive")
     rate = g / length
 
-    def equation(state: AngularState) -> AngularStateDeriv:
-        return AngularStateDeriv(1.0, state.omega, -rate * math.sin(state.theta))
+    def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float]:
+        return (-rate * math.sin(q[0]),)
 
-    return equation
-
-
-def euler_cromer_angular_step(
-    alpha: Callable[[AngularState], float], dt: float, state: AngularState
-) -> AngularState:
-    """Semi-implicit step for an angular state.
-
-    ``alpha`` maps the state to an angular acceleration; the angular
-    velocity updates first, then the angle moves with the new velocity.
-    """
-    omega2 = state.omega + alpha(state) * dt
-    return AngularState(state.t + dt, state.theta + omega2 * dt, omega2)
-
-
-def tx_pairs(states: Iterable[ParticleState]) -> Iterator[tuple[float, float]]:
-    """Project a particle trajectory onto (time, x-displacement) pairs."""
-    for state in states:
-        yield (state.t, state.r.x)
+    return accel

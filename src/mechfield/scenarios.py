@@ -1,10 +1,11 @@
 """Named, runnable simulation scenarios.
 
-Each scenario bundles what the CLI needs: the kind of state space it
-evolves, default timestep and step count, a parameter schema with default
-values, and a builder that turns resolved parameters into a concrete run
-(initial state, differential equation for the generic methods, dedicated
-Euler-Cromer stepper, and the CSV schema for its trajectory).
+Each scenario bundles what the CLI needs: default timestep and step
+count, parameter defaults, and a builder that turns resolved parameters
+into a concrete run. A run holds the initial state in the flat layout of
+:mod:`mechfield.solver`, ``(t, q..., v...)``, its differential equation
+for the generic methods, its Euler-Cromer stepper, and the CSV header and
+row for its trajectory.
 """
 
 from __future__ import annotations
@@ -12,29 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .mechanics import (
-    AngularState,
     EARTH_MASS,
     GRAVITATIONAL_CONSTANT,
-    SystemState,
     damped_driven_osc,
-    euler_cromer_angular_step,
-    euler_cromer_system_step,
     gravity_accel,
-    pendulum_deriv,
+    pendulum_accel,
     satellite_accel,
     spring_chain_accel,
-    system_equation,
 )
 from .solver import (
+    AccelerationFunction,
     DifferentialEquation,
-    ParticleState,
+    State,
     euler_cromer_step,
-    particle_equation,
+    second_order_equation,
 )
-from .vectors import Vec3, X_HAT, ZERO
+from .vectors import X_HAT, ZERO
 
 __all__ = ["Scenario", "ScenarioRun", "SCENARIOS"]
 
@@ -45,11 +42,11 @@ ANGULAR_HEADER = "t,theta,omega"
 class ScenarioRun(NamedTuple):
     """A scenario instantiated with concrete parameter values."""
 
-    initial: Any
+    initial: State
     equation: DifferentialEquation
-    cromer_step: Callable[[float, Any], Any]
+    cromer_step: Callable[[float, State], State]
     header: str
-    row: Callable[[Any], tuple[float, ...]]
+    row: Callable[[State], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -58,29 +55,31 @@ class Scenario:
 
     name: str
     description: str
-    kind: str  # "particle" | "angular" | "system"
     dt: float
     steps: int
     defaults: Mapping[str, float]
     build: Callable[[Mapping[str, float]], ScenarioRun]
 
 
-def _particle_row(state: ParticleState) -> tuple[float, ...]:
-    return (state.t, state.r.x, state.r.y, state.r.z, state.v.x, state.v.y, state.v.z)
+def _run(
+    accel: AccelerationFunction,
+    q: Sequence[float],
+    v: Sequence[float],
+    header: str = PARTICLE_HEADER,
+    row: Callable[[State], Sequence[float]] = tuple,
+) -> ScenarioRun:
+    """The run that starts at t = 0 from coordinates q and velocities v.
 
-
-def _particle_run(accel, initial: ParticleState) -> ScenarioRun:
+    With one body, a particle or the pendulum, the state already is the
+    CSV row, so ``row`` is the identity.
+    """
     return ScenarioRun(
-        initial=initial,
-        equation=particle_equation(accel),
+        initial=(0.0, *q, *v),
+        equation=second_order_equation(accel),
         cromer_step=partial(euler_cromer_step, accel),
-        header=PARTICLE_HEADER,
-        row=_particle_row,
+        header=header,
+        row=row,
     )
-
-
-def _angular_row(state: AngularState) -> tuple[float, ...]:
-    return (state.t, state.theta, state.omega)
 
 
 def _system_header(count: int) -> str:
@@ -90,35 +89,22 @@ def _system_header(count: int) -> str:
     return ",".join(columns)
 
 
-def _system_row(state: SystemState) -> tuple[float, ...]:
-    values = [state.t]
-    for r, v in state.particles:
-        values += [r.x, r.y, r.z, v.x, v.y, v.z]
+def _system_row(state: State) -> tuple[float, ...]:
+    """Regroup (t, q..., v...) as t, then each particle's x, y, z, vx, vy, vz."""
+    n = len(state) // 2
+    values = [state[0]]
+    for i in range(1, n + 1, 3):
+        values += state[i:i + 3]
+        values += state[n + i:n + i + 3]
     return tuple(values)
 
 
-def _system_run(accel, initial: SystemState) -> ScenarioRun:
-    return ScenarioRun(
-        initial=initial,
-        equation=system_equation(accel),
-        cromer_step=partial(euler_cromer_system_step, accel),
-        header=_system_header(len(initial.particles)),
-        row=_system_row,
-    )
-
-
 def _build_sho(params: Mapping[str, float]) -> ScenarioRun:
-    return _particle_run(
-        damped_driven_osc(0.0, 0.0, 0.0),
-        ParticleState(0.0, X_HAT, ZERO),
-    )
+    return _run(damped_driven_osc(0.0, 0.0, 0.0), X_HAT, ZERO)
 
 
 def _build_ddho(params: Mapping[str, float]) -> ScenarioRun:
-    return _particle_run(
-        damped_driven_osc(params["beta"], params["amp"], params["omega"]),
-        ParticleState(0.0, X_HAT, ZERO),
-    )
+    return _run(damped_driven_osc(params["beta"], params["amp"], params["omega"]), X_HAT, ZERO)
 
 
 ORBIT_RADIUS = 7e6  # m
@@ -126,22 +112,15 @@ ORBIT_RADIUS = 7e6  # m
 
 def _build_satellite(params: Mapping[str, float]) -> ScenarioRun:
     speed = math.sqrt(GRAVITATIONAL_CONSTANT * EARTH_MASS / ORBIT_RADIUS)
-    initial = ParticleState(0.0, Vec3(ORBIT_RADIUS, 0.0, 0.0), Vec3(0.0, speed, 0.0))
-    return _particle_run(satellite_accel, initial)
+    return _run(satellite_accel, (ORBIT_RADIUS, 0.0, 0.0), (0.0, speed, 0.0))
 
 
 def _build_pendulum(params: Mapping[str, float]) -> ScenarioRun:
-    equation = pendulum_deriv(params["g"], params["length"])
-
-    def alpha(state: AngularState) -> float:
-        return equation(state).domega
-
-    return ScenarioRun(
-        initial=AngularState(0.0, params["theta0"], params["omega0"]),
-        equation=equation,
-        cromer_step=partial(euler_cromer_angular_step, alpha),
-        header=ANGULAR_HEADER,
-        row=_angular_row,
+    return _run(
+        pendulum_accel(params["g"], params["length"]),
+        (params["theta0"],),
+        (params["omega0"],),
+        ANGULAR_HEADER,
     )
 
 
@@ -160,15 +139,9 @@ def _build_three_body(params: Mapping[str, float]) -> ScenarioRun:
     moon_speed = earth_speed + math.sqrt(
         GRAVITATIONAL_CONSTANT * THREE_BODY_EARTH_MASS / LUNAR_DISTANCE
     )
-    initial = SystemState(
-        0.0,
-        (
-            (ZERO, ZERO),
-            (Vec3(ASTRONOMICAL_UNIT, 0.0, 0.0), Vec3(0.0, earth_speed, 0.0)),
-            (Vec3(ASTRONOMICAL_UNIT + LUNAR_DISTANCE, 0.0, 0.0), Vec3(0.0, moon_speed, 0.0)),
-        ),
-    )
-    return _system_run(gravity_accel(masses), initial)
+    q = (0.0, 0.0, 0.0, ASTRONOMICAL_UNIT, 0.0, 0.0, ASTRONOMICAL_UNIT + LUNAR_DISTANCE, 0.0, 0.0)
+    v = (0.0, 0.0, 0.0, 0.0, earth_speed, 0.0, 0.0, moon_speed, 0.0)
+    return _run(gravity_accel(masses), q, v, _system_header(3), _system_row)
 
 
 def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
@@ -178,19 +151,11 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
     spacing = params["spacing"]
     amplitude = params["amplitude"]
     # transverse pluck along the lowest standing-wave mode
-    particles = tuple(
-        (
-            Vec3(
-                (i + 1) * spacing,
-                amplitude * math.sin((i + 1) * math.pi / (count + 1)),
-                0.0,
-            ),
-            ZERO,
-        )
-        for i in range(count)
-    )
+    q: list[float] = []
+    for i in range(count):
+        q += ((i + 1) * spacing, amplitude * math.sin((i + 1) * math.pi / (count + 1)), 0.0)
     accel = spring_chain_accel(params["k"], spacing, params["mass"], fixed_ends=True)
-    return _system_run(accel, SystemState(0.0, particles))
+    return _run(accel, q, (0.0,) * len(q), _system_header(count), _system_row)
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -199,7 +164,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="sho",
             description="simple harmonic oscillator, unit mass and spring constant, released from x = 1 m",
-            kind="particle",
             dt=0.01,
             steps=1000,
             defaults={},
@@ -208,7 +172,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="ddho",
             description="damped driven harmonic oscillator released from x = 1 m",
-            kind="particle",
             dt=0.01,
             steps=1000,
             defaults={"beta": 0.0, "amp": 1.0, "omega": 0.7},
@@ -217,7 +180,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="satellite",
             description="satellite on a circular orbit of radius 7e6 m about a fixed Earth",
-            kind="particle",
             dt=1.0,
             steps=5828,
             defaults={},
@@ -226,7 +188,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="pendulum",
             description="pendulum about a fixed pivot, angle and angular velocity state",
-            kind="angular",
             dt=0.01,
             steps=1000,
             defaults={"g": 9.8, "length": 1.0, "theta0": 0.2, "omega0": 0.0},
@@ -235,7 +196,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="three-body",
             description="Sun, Earth, and Moon under mutual gravitation (illustrative seed values)",
-            kind="system",
             dt=3600.0,
             steps=8766,
             defaults={},
@@ -244,7 +204,6 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="spring-chain",
             description="point masses joined by springs between fixed ends, plucked transversely",
-            kind="system",
             dt=0.1,
             steps=2000,
             defaults={"particles": 100, "k": 1.0, "spacing": 1.0, "mass": 1.0, "amplitude": 0.1},

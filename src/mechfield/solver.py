@@ -1,169 +1,123 @@
-"""Differential equations over state spaces, with pluggable evolution methods.
+"""Second-order systems on one flat state layout, with pluggable evolution methods.
 
-A *state space* here is any immutable value describing a system completely
-enough to evolve it. Each state type has an associated derivative type that
-forms a vector space: derivatives add to each other and scale by floats.
-States advance through :func:`shift`, which either calls the state's own
-``shift`` method or, for plain numbers, falls back to ordinary addition.
+Every problem here is a second-order system of n coordinates q and their
+velocities v. Its state is one flat tuple of floats
+``(t, q1..qn, v1..vn)``: a particle has n = 3, a pendulum n = 1, and N
+particles n = 3N, their (x, y, z) triples one after another. A
+*differential equation* maps a state to its rate of change, a tuple of the
+same layout ``(1.0, v1..vn, a1..an)``. An *acceleration function*
+``accel(t, q, v)`` returns the n accelerations, and
+:func:`second_order_equation` turns one into a differential equation.
+
 Evolution methods (:func:`euler_method`, :func:`rk4_method`) are written
-once against this contract and work unchanged for scalar states, single
-particles, and the multi-particle and angular states in
-:mod:`mechfield.mechanics`.
+once, component by component, so they run on any flat tuple, including
+first-order ones such as ``(y,)`` for y' = y. :func:`euler_cromer_step`
+needs to know which half of the state is the velocity, so it takes the
+acceleration function instead.
 
 The independent variable is always time, in seconds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, NamedTuple
-
-from .vectors import Vec3
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "ParticleState",
-    "ParticleStateDeriv",
+    "State",
     "AccelerationFunction",
     "DifferentialEquation",
     "EvolutionMethod",
     "InitialValueProblem",
-    "shift",
-    "euler_step",
+    "second_order_equation",
     "euler_cromer_step",
-    "particle_equation",
     "euler_method",
     "rk4_method",
     "solution_stream",
-    "solve_states",
 ]
 
+State = tuple[float, ...]
 
-class ParticleState(NamedTuple):
-    """Time, displacement from the origin, and velocity of one particle."""
-
-    t: float
-    r: Vec3
-    v: Vec3
-
-    def shift(self, d: "ParticleStateDeriv") -> "ParticleState":
-        return ParticleState(self.t + d.dt, self.r + d.dr, self.v + d.dv)
-
-
-class ParticleStateDeriv(NamedTuple):
-    """Rates of change of a :class:`ParticleState`.
-
-    ``dt`` is the (dimensionless) rate of time itself, 1.0 for physical
-    evolution. Derivatives form a vector space: they add componentwise and
-    scale by floats, which is all the evolution methods need.
-    """
-
-    dt: float
-    dr: Vec3
-    dv: Vec3
-
-    def __add__(self, other: "ParticleStateDeriv") -> "ParticleStateDeriv":  # type: ignore[override]
-        return ParticleStateDeriv(self.dt + other.dt, self.dr + other.dr, self.dv + other.dv)
-
-    def __mul__(self, scalar: float) -> "ParticleStateDeriv":  # type: ignore[override]
-        return ParticleStateDeriv(self.dt * scalar, self.dr * scalar, self.dv * scalar)
-
-    __rmul__ = __mul__  # type: ignore[assignment]
-
-
-# An acceleration function encodes Newton's second law for one particle:
-# it maps the particle's state to the net-force-per-mass acting on it.
-AccelerationFunction = Callable[[ParticleState], Vec3]
+# An acceleration function encodes Newton's second law: it maps the time,
+# the coordinates and the velocities to the n accelerations.
+AccelerationFunction = Callable[[float, State, State], Sequence[float]]
 
 # A differential equation maps a state to its derivative; an evolution
 # method advances a state through a finite time interval using one.
-DifferentialEquation = Callable[[Any], Any]
-EvolutionMethod = Callable[[DifferentialEquation, float, Any], Any]
+DifferentialEquation = Callable[[State], State]
+EvolutionMethod = Callable[[DifferentialEquation, float, State], State]
 
 
 class InitialValueProblem(NamedTuple):
     """A differential equation paired with the state to start from."""
 
     equation: DifferentialEquation
-    initial: Any
+    initial: State
 
 
-def shift(state: Any, delta: Any) -> Any:
-    """Advance a state-space point by an element of its derivative space.
+def second_order_equation(accel: AccelerationFunction) -> DifferentialEquation:
+    """First-order form of a second-order system.
 
-    Plain numbers are their own state space, so addition applies; richer
-    states provide a ``shift`` method.
-    """
-    method = getattr(state, "shift", None)
-    if method is not None:
-        return method(delta)
-    return state + delta
-
-
-def euler_step(accel: AccelerationFunction, dt: float, state: ParticleState) -> ParticleState:
-    """One explicit Euler step; the position update uses the old velocity."""
-    t, r, v = state
-    return ParticleState(t + dt, r + v * dt, v + accel(state) * dt)
-
-
-def euler_cromer_step(accel: AccelerationFunction, dt: float, state: ParticleState) -> ParticleState:
-    """One semi-implicit (Euler-Cromer) step.
-
-    Velocity updates first and the position update uses the *new*
-    velocity. This small change keeps the energy error of oscillatory
-    systems bounded instead of growing, which is why it is the default
-    stepper for the trajectory scenarios.
-    """
-    t, r, v = state
-    v2 = v + accel(state) * dt
-    return ParticleState(t + dt, r + v2 * dt, v2)
-
-
-def particle_equation(accel: AccelerationFunction) -> DifferentialEquation:
-    """First-order differential equation for a single particle.
-
-    Time runs at unit rate, displacement changes at the velocity, and
-    velocity changes at the acceleration supplied by ``accel``.
+    Time runs at unit rate, each coordinate changes at its velocity, and
+    each velocity at the acceleration supplied by ``accel``.
     """
 
-    def equation(state: ParticleState) -> ParticleStateDeriv:
-        return ParticleStateDeriv(1.0, state.v, accel(state))
+    def equation(y: State) -> State:
+        n = len(y) // 2
+        v = y[n + 1:]
+        return (1.0, *v, *accel(y[0], y[1:n + 1], v))
 
     return equation
 
 
-def euler_method(equation: DifferentialEquation, dt: float, state: Any) -> Any:
-    """First-order evolution: shift the state by its derivative times dt."""
-    return shift(state, equation(state) * dt)
+def euler_cromer_step(accel: AccelerationFunction, dt: float, y: State) -> State:
+    """One semi-implicit (Euler-Cromer) step.
+
+    Velocities update first and the coordinates move with the *new*
+    velocities. This small change keeps the energy error of oscillatory
+    systems bounded instead of growing, which is why it is the default
+    stepper for the trajectory scenarios.
+    """
+    n = len(y) // 2
+    t = y[0]
+    q = y[1:n + 1]
+    v = y[n + 1:]
+    v = [b + a * dt for b, a in zip(v, accel(t, q, v))]
+    return (t + dt, *[x + b * dt for x, b in zip(q, v)], *v)
 
 
-def rk4_method(equation: DifferentialEquation, dt: float, state: Any) -> Any:
+def euler_method(equation: DifferentialEquation, dt: float, y: State) -> State:
+    """First-order evolution: move each component by its rate times dt."""
+    return tuple([a + b * dt for a, b in zip(y, equation(y))])
+
+
+def rk4_method(equation: DifferentialEquation, dt: float, y: State) -> State:
     """Classical fourth-order Runge-Kutta evolution, fixed step.
 
-    Four derivative evaluations combined with weights 1/6, 1/3, 1/3, 1/6.
-    Uses only the shift/add/scale contract, so it runs on any state space.
+    Four derivative evaluations combined with weights 1/6, 1/3, 1/3, 1/6,
+    component by component, so it runs on any flat state.
     """
-    k1 = equation(state)
-    k2 = equation(shift(state, k1 * (dt / 2.0)))
-    k3 = equation(shift(state, k2 * (dt / 2.0)))
-    k4 = equation(shift(state, k3 * dt))
-    return shift(state, (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0))
+    h = dt / 2.0
+    k1 = equation(y)
+    k2 = equation(tuple([a + b * h for a, b in zip(y, k1)]))
+    k3 = equation(tuple([a + b * h for a, b in zip(y, k2)]))
+    k4 = equation(tuple([a + b * dt for a, b in zip(y, k3)]))
+    w = dt / 6.0
+    return tuple([
+        a + (b1 + (b2 + b3) * 2.0 + b4) * w
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ])
 
 
-def solution_stream(method: EvolutionMethod, dt: float, problem: InitialValueProblem) -> Iterator[Any]:
+def solution_stream(method: EvolutionMethod, dt: float, problem: InitialValueProblem) -> Iterator[State]:
     """Unbounded stream of states solving an initial value problem.
 
     Element 0 is the initial state; each later element applies the
     evolution method to the previous one, computed on demand. Every call
     builds a fresh stream, so consuming twice yields identical elements.
+    For Euler-Cromer, pass :func:`euler_cromer_step` as the method and the
+    acceleration function as the problem's equation.
     """
     equation, state = problem
     while True:
         yield state
         state = method(equation, dt, state)
-
-
-def solve_states(accel: AccelerationFunction, dt: float, initial: ParticleState) -> Iterator[ParticleState]:
-    """Euler-Cromer particle trajectory as an unbounded on-demand stream."""
-    state = initial
-    while True:
-        yield state
-        state = euler_cromer_step(accel, dt, state)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "Vec3",
@@ -22,8 +22,6 @@ __all__ = [
     "X_HAT",
     "Y_HAT",
     "Z_HAT",
-    "ORIGIN",
-    "vec_sum",
     "displacement",
     "format_scalar",
     "parse_triple",
@@ -84,14 +82,6 @@ Y_HAT = Vec3(0.0, 1.0, 0.0)
 Z_HAT = Vec3(0.0, 0.0, 1.0)
 
 
-def vec_sum(vectors: Iterable[Vec3]) -> Vec3:
-    """Sum of a collection of vectors; the empty sum is the zero vector."""
-    total = ZERO
-    for v in vectors:
-        total = total + v
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class Position:
     """A point in space, in meters, relative to a fixed Cartesian origin.
@@ -108,9 +98,6 @@ class Position:
     def shifted(self, d: Vec3) -> "Position":
         """The point reached by translating this one through ``d``."""
         return Position(self.x + d.x, self.y + d.y, self.z + d.z)
-
-
-ORIGIN = Position(0.0, 0.0, 0.0)
 
 
 def displacement(start: Position, end: Position) -> Vec3:

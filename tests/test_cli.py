@@ -132,6 +132,27 @@ def test_simulate_rejects_bad_parameter_values(capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "sho", "--dt", "nan"),
+        ("simulate", "sho", "--dt", "inf"),
+        ("simulate", "pendulum", "--length", "nan"),
+        ("simulate", "ddho", "--beta", "inf"),
+        ("simulate", "spring-chain", "--amplitude=-inf"),
+        ("field", "b-loop", "--radius", "nan", "--at", "0,0,1"),
+        ("field", "e-line", "--lambda", "inf", "--at", "1,0,0"),
+        ("field-grid", "b-loop", "--x-min", "nan"),
+        ("field-grid", "e-line", "--z-max", "1e400"),
+    ],
+)
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be a finite number" in err
+
+
 # --- field ---------------------------------------------------------------------
 
 
@@ -277,10 +298,11 @@ def test_registry_entries_expose_run_schema():
     from mechfield.scenarios import SCENARIOS
 
     for name, scenario in SCENARIOS.items():
-        assert scenario.kind in ("particle", "angular", "system")
+        run = scenario.build(dict(scenario.defaults))
+        assert len(run.initial) % 2 == 1  # flat (t, q..., v...) layout
+        assert all(isinstance(value, float) for value in run.initial)
         assert scenario.dt > 0
         assert scenario.steps >= 1
-        run = scenario.build(dict(scenario.defaults))
         assert run.header.startswith("t")
         first_row = run.row(run.initial)
         assert len(first_row) == len(run.header.split(","))

@@ -7,37 +7,58 @@ import pytest
 
 from mechfield.errors import DomainError
 from mechfield.mechanics import (
-    AngularState,
-    AngularStateDeriv,
     EARTH_MASS,
     GRAVITATIONAL_CONSTANT as G,
-    SystemState,
-    SystemStateDeriv,
     damped_driven_osc,
-    euler_cromer_angular_step,
-    euler_cromer_system_step,
     gravity_accel,
-    pendulum_deriv,
+    pendulum_accel,
     satellite_accel,
     spring_chain_accel,
-    system_equation,
-    tx_pairs,
 )
 from mechfield.solver import (
-    ParticleState,
+    InitialValueProblem,
     euler_cromer_step,
+    euler_method,
     rk4_method,
-    shift,
-    solve_states,
+    second_order_equation,
+    solution_stream,
 )
 from mechfield.vectors import Vec3, X_HAT, ZERO
+
+
+def system(t: float, particles) -> tuple:
+    """Flat state (t, x1, y1, z1, x2, ..., vx1, vy1, vz1, vx2, ...) of (r, v) pairs."""
+    return (t, *(c for r, _ in particles for c in r), *(c for _, v in particles for c in v))
+
+
+def triples(values) -> list[Vec3]:
+    """Per-particle vectors of a flat (x1, y1, z1, x2, ...) sequence."""
+    return [Vec3(*values[i:i + 3]) for i in range(0, len(values), 3)]
+
+
+def accel_at(accel, state):
+    n = len(state) // 2
+    return accel(state[0], state[1:n + 1], state[n + 1:])
+
+
+def shift(state: tuple, delta: tuple) -> tuple:
+    """Advance a flat state by a rate held over unit time: one Euler update."""
+    return euler_method(lambda y: delta, 1.0, state)
+
+
+def plus(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def times(a: tuple, scalar: float) -> tuple:
+    return tuple(x * scalar for x in a)
 
 
 # --- satellite ----------------------------------------------------------------
 
 
 def test_satellite_accel_inverse_square_value():
-    a = satellite_accel(ParticleState(0.0, Vec3(7e6, 0, 0), ZERO))
+    a = Vec3(*satellite_accel(0.0, Vec3(7e6, 0, 0), ZERO))
     expected = G * EARTH_MASS / 7e6**2  # scalar oracle, direction is -x
     assert a.x == pytest.approx(-expected, rel=1e-12)
     assert a.y == 0.0 and a.z == 0.0
@@ -45,8 +66,8 @@ def test_satellite_accel_inverse_square_value():
 
 def test_satellite_accel_ignores_time_and_velocity():
     r = Vec3(3e6, -4e6, 1e6)
-    a1 = satellite_accel(ParticleState(0.0, r, ZERO))
-    a2 = satellite_accel(ParticleState(99.0, r, Vec3(1e4, -2e4, 3e4)))
+    a1 = satellite_accel(0.0, r, ZERO)
+    a2 = satellite_accel(99.0, r, Vec3(1e4, -2e4, 3e4))
     assert a1 == a2
 
 
@@ -56,7 +77,7 @@ def test_satellite_accel_is_antiparallel_inverse_square():
         r = Vec3(*(rng.uniform(-1, 1) * 1e7 for _ in range(3)))
         if r.magnitude() < 1e5:
             continue
-        a = satellite_accel(ParticleState(0.0, r, ZERO))
+        a = Vec3(*satellite_accel(0.0, r, ZERO))
         assert a.cross(r).magnitude() <= 1e-9 * a.magnitude() * r.magnitude()
         assert a.dot(r) < 0
         assert a.magnitude() * r.magnitude() ** 2 == pytest.approx(G * EARTH_MASS, rel=1e-12)
@@ -64,7 +85,7 @@ def test_satellite_accel_is_antiparallel_inverse_square():
 
 def test_satellite_accel_rejects_origin():
     with pytest.raises(DomainError, match="satellite at origin"):
-        satellite_accel(ParticleState(0.0, ZERO, ZERO))
+        satellite_accel(0.0, ZERO, ZERO)
 
 
 # --- damped driven oscillator ---------------------------------------------------
@@ -72,90 +93,74 @@ def test_satellite_accel_rejects_origin():
 
 def test_ddho_drive_cancels_spring_at_release():
     accel = damped_driven_osc(0.0, 1.0, 0.7)
-    assert accel(ParticleState(0.0, X_HAT, ZERO)) == ZERO
+    assert accel(0.0, X_HAT, ZERO) == ZERO
 
 
 def test_ddho_spring_only_limit():
     accel = damped_driven_osc(0.0, 0.0, 0.0)
     r = Vec3(0.3, -0.4, 0.5)
-    assert accel(ParticleState(2.0, r, Vec3(1, 1, 1))) == -r
+    assert accel(2.0, r, Vec3(1, 1, 1)) == -r
 
 
 def test_ddho_damping_term():
     accel = damped_driven_osc(1.0, 0.0, 0.0)
-    assert accel(ParticleState(0.0, ZERO, Vec3(2, 0, 0))) == Vec3(-2, 0, 0)
+    assert accel(0.0, ZERO, Vec3(2, 0, 0)) == Vec3(-2, 0, 0)
 
 
-# --- system state and stepper ----------------------------------------------------
+# --- systems of particles ----------------------------------------------------------
 
 
-def one_particle_system(r: Vec3, v: Vec3) -> SystemState:
-    return SystemState(0.0, ((r, v),))
+def one_particle_system(r: Vec3, v: Vec3) -> tuple:
+    return system(0.0, [(r, v)])
 
 
 def test_system_step_single_particle_hand_value():
-    out = euler_cromer_system_step(lambda s: [Vec3(0, 0, -10)], 0.1, one_particle_system(ZERO, ZERO))
-    assert out == SystemState(0.1, ((Vec3(0, 0, -0.1), Vec3(0, 0, -1.0)),))
+    out = euler_cromer_step(lambda t, q, v: Vec3(0, 0, -10), 0.1, one_particle_system(ZERO, ZERO))
+    assert out == system(0.1, [(Vec3(0, 0, -0.1), Vec3(0, 0, -1.0))])
 
 
 def test_system_step_matches_particle_stepper_exactly():
+    """Stepping two decoupled particles together equals stepping each alone."""
     rng = random.Random(23)
-    a = Vec3(0.5, -1.5, 2.0)
+    a, b = Vec3(0.5, -1.5, 2.0), Vec3(-1.0, 0.25, 3.0)
     for _ in range(100):
-        r = Vec3(*(rng.uniform(-5, 5) for _ in range(3)))
-        v = Vec3(*(rng.uniform(-5, 5) for _ in range(3)))
+        r1, v1, r2, v2 = (Vec3(*(rng.uniform(-5, 5) for _ in range(3))) for _ in range(4))
         dt = rng.uniform(0, 1)
-        single = euler_cromer_step(lambda s: a, dt, ParticleState(0.0, r, v))
-        system = euler_cromer_system_step(lambda s: [a], dt, one_particle_system(r, v))
-        assert system.particles[0] == (single.r, single.v)
-        assert system.t == single.t
+        pair = euler_cromer_step(lambda t, q, v: (*a, *b), dt, system(0.0, [(r1, v1), (r2, v2)]))
+        one = euler_cromer_step(lambda t, q, v: a, dt, one_particle_system(r1, v1))
+        two = euler_cromer_step(lambda t, q, v: b, dt, one_particle_system(r2, v2))
+        assert pair == system(one[0], [(one[1:4], one[4:]), (two[1:4], two[4:])])
 
 
 def test_system_step_zero_dt():
-    state = SystemState(3.0, ((Vec3(1, 0, 0), Vec3(0, 1, 0)), (Vec3(2, 0, 0), ZERO)))
-    out = euler_cromer_system_step(lambda s: [ZERO, ZERO], 0.0, state)
+    state = system(3.0, [(Vec3(1, 0, 0), Vec3(0, 1, 0)), (Vec3(2, 0, 0), ZERO)])
+    out = euler_cromer_step(lambda t, q, v: (*ZERO, *ZERO), 0.0, state)
     assert out == state
 
 
 def test_system_step_free_particles_decouple():
-    state = SystemState(0.0, ((ZERO, Vec3(1, 0, 0)), (Vec3(5, 0, 0), Vec3(0, 2, 0))))
-    out = euler_cromer_system_step(lambda s: [ZERO, ZERO], 0.5, state)
-    assert out.particles == ((Vec3(0.5, 0, 0), Vec3(1, 0, 0)), (Vec3(5, 1, 0), Vec3(0, 2, 0)))
-
-
-def test_system_step_rejects_wrong_acceleration_count():
-    with pytest.raises(ValueError):
-        euler_cromer_system_step(lambda s: [ZERO, ZERO], 0.1, one_particle_system(ZERO, ZERO))
+    state = system(0.0, [(ZERO, Vec3(1, 0, 0)), (Vec3(5, 0, 0), Vec3(0, 2, 0))])
+    out = euler_cromer_step(lambda t, q, v: (*ZERO, *ZERO), 0.5, state)
+    assert out == system(0.5, [(Vec3(0.5, 0, 0), Vec3(1, 0, 0)), (Vec3(5, 1, 0), Vec3(0, 2, 0))])
 
 
 def test_system_equation_structure():
-    state = SystemState(1.0, ((Vec3(1, 0, 0), Vec3(0, 3, 0)),))
-    d = system_equation(lambda s: [Vec3(0, 0, -9.8)])(state)
-    assert d == SystemStateDeriv(1.0, ((Vec3(0, 3, 0), Vec3(0, 0, -9.8)),))
-
-
-def test_system_equation_rejects_wrong_count():
-    with pytest.raises(ValueError):
-        system_equation(lambda s: [])(one_particle_system(ZERO, ZERO))
+    state = system(1.0, [(Vec3(1, 0, 0), Vec3(0, 3, 0))])
+    d = second_order_equation(lambda t, q, v: Vec3(0, 0, -9.8))(state)
+    assert d == (1.0, 0, 3, 0, 0, 0, -9.8)
 
 
 def test_system_state_shift_laws():
-    state = SystemState(0.0, ((Vec3(1, 2, 3), Vec3(0, 1, 0)), (ZERO, ZERO)))
-    zero = SystemStateDeriv(0.0, ((ZERO, ZERO), (ZERO, ZERO)))
-    d1 = SystemStateDeriv(1.0, ((Vec3(0.1, 0, 0), Vec3(0, 0.2, 0)), (Vec3(0, 0, 0.3), ZERO)))
-    d2 = d1 * -0.5
+    state = system(0.0, [(Vec3(1, 2, 3), Vec3(0, 1, 0)), (ZERO, ZERO)])
+    zero = (0.0,) * 13
+    d1 = system(1.0, [(Vec3(0.1, 0, 0), Vec3(0, 0.2, 0)), (Vec3(0, 0, 0.3), ZERO)])
+    d2 = times(d1, -0.5)
     assert shift(state, zero) == state
     stepped = shift(shift(state, d1), d2)
-    combined = shift(state, d1 + d2)
-    assert stepped.t == pytest.approx(combined.t, abs=1e-12)
-    for (r1, v1), (r2, v2) in zip(stepped.particles, combined.particles):
-        assert (r1 - r2).magnitude() <= 1e-12
+    combined = shift(state, plus(d1, d2))
+    assert stepped[0] == pytest.approx(combined[0], abs=1e-12)
+    for v1, v2 in zip(triples(stepped[1:]), triples(combined[1:])):
         assert (v1 - v2).magnitude() <= 1e-12
-
-
-def test_system_state_shift_rejects_wrong_count():
-    with pytest.raises(ValueError):
-        one_particle_system(ZERO, ZERO).shift(SystemStateDeriv(1.0, ()))
 
 
 # --- gravity -------------------------------------------------------------------
@@ -163,14 +168,14 @@ def test_system_state_shift_rejects_wrong_count():
 
 def test_gravity_two_equal_masses_obey_third_law_exactly():
     accel = gravity_accel([2e24, 2e24])
-    state = SystemState(0.0, ((Vec3(1, 2, 3), ZERO), (Vec3(-4, 0, 7), ZERO)))
-    a1, a2 = accel(state)
+    state = system(0.0, [(Vec3(1, 2, 3), ZERO), (Vec3(-4, 0, 7), ZERO)])
+    a1, a2 = triples(accel_at(accel, state))
     assert a1 == -a2
 
 
 def test_gravity_hand_value():
     accel = gravity_accel([1.0, 1.0])
-    a1, _ = accel(SystemState(0.0, ((ZERO, ZERO), (X_HAT, ZERO))))
+    a1, _ = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (X_HAT, ZERO)])))
     assert a1 == Vec3(G, 0, 0)
 
 
@@ -179,8 +184,8 @@ def test_gravity_two_body_matches_satellite_accel():
     accel = gravity_accel([EARTH_MASS, 1000.0])
     for _ in range(20):
         r = Vec3(*(rng.uniform(1e6, 2e7) for _ in range(3)))
-        _, a_test = accel(SystemState(0.0, ((ZERO, ZERO), (r, ZERO))))
-        oracle = satellite_accel(ParticleState(0.0, r, ZERO))
+        _, a_test = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (r, ZERO)])))
+        oracle = Vec3(*satellite_accel(0.0, r, ZERO))
         assert (a_test - oracle).magnitude() <= 1e-12 * oracle.magnitude()
 
 
@@ -189,11 +194,11 @@ def test_gravity_momentum_conservation():
     for _ in range(50):
         masses = [rng.uniform(1e20, 1e25) for _ in range(3)]
         accel = gravity_accel(masses)
-        state = SystemState(
+        state = system(
             0.0,
-            tuple((Vec3(*(rng.uniform(-1e8, 1e8) for _ in range(3))), ZERO) for _ in range(3)),
+            [(Vec3(*(rng.uniform(-1e8, 1e8) for _ in range(3))), ZERO) for _ in range(3)],
         )
-        accels = accel(state)
+        accels = triples(accel_at(accel, state))
         total = Vec3(0, 0, 0)
         scale = 0.0
         for m, a in zip(masses, accels):
@@ -204,14 +209,14 @@ def test_gravity_momentum_conservation():
 
 def test_gravity_singularity_is_an_error():
     accel = gravity_accel([1.0, 1.0])
-    state = SystemState(0.0, ((ZERO, ZERO), (Vec3(1e-7, 0, 0), ZERO)))
+    state = system(0.0, [(ZERO, ZERO), (Vec3(1e-7, 0, 0), ZERO)])
     with pytest.raises(DomainError, match="gravitational singularity"):
-        accel(state)
+        accel_at(accel, state)
 
 
 def test_gravity_rejects_wrong_particle_count():
     with pytest.raises(ValueError):
-        gravity_accel([1.0, 1.0])(one_particle_system(ZERO, ZERO))
+        accel_at(gravity_accel([1.0, 1.0]), one_particle_system(ZERO, ZERO))
 
 
 def test_gravity_rejects_bad_masses():
@@ -224,34 +229,34 @@ def test_gravity_rejects_bad_masses():
 # --- spring chain -----------------------------------------------------------------
 
 
-def lattice(count: int, spacing: float = 1.0) -> tuple:
-    return tuple((Vec3((i + 1) * spacing, 0.0, 0.0), ZERO) for i in range(count))
+def lattice(count: int, spacing: float = 1.0) -> list:
+    return [(Vec3((i + 1) * spacing, 0.0, 0.0), ZERO) for i in range(count)]
 
 
 def test_spring_chain_equilibrium_has_zero_acceleration():
     accel = spring_chain_accel(k=2.0, spacing=1.0, mass=0.5, fixed_ends=True)
-    for a in accel(SystemState(0.0, lattice(5))):
+    for a in triples(accel_at(accel, system(0.0, lattice(5)))):
         assert a.magnitude() <= 1e-12
 
 
 def test_spring_chain_free_equilibrium_too():
     accel = spring_chain_accel(k=2.0, spacing=1.0, mass=0.5, fixed_ends=False)
-    for a in accel(SystemState(0.0, lattice(5))):
+    for a in triples(accel_at(accel, system(0.0, lattice(5)))):
         assert a.magnitude() <= 1e-12
 
 
 def test_spring_chain_transverse_displacement_restores():
     accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0, fixed_ends=True)
-    state = SystemState(0.0, ((Vec3(1.0, 0.2, 0.0), ZERO),))
-    (a,) = accel(state)
+    state = one_particle_system(Vec3(1.0, 0.2, 0.0), ZERO)
+    (a,) = triples(accel_at(accel, state))
     assert a.y < 0  # back toward the axis
     assert abs(a.x) <= 1e-12 and a.z == 0.0
 
 
 def test_spring_chain_uniform_translation_loads_only_the_ends():
     accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0, fixed_ends=True)
-    shifted = tuple((r + Vec3(0.1, 0, 0), v) for r, v in lattice(6))
-    accels = accel(SystemState(0.0, shifted))
+    shifted = [(r + Vec3(0.1, 0, 0), v) for r, v in lattice(6)]
+    accels = triples(accel_at(accel, system(0.0, shifted)))
     assert accels[0].magnitude() > 1e-3
     assert accels[-1].magnitude() > 1e-3
     for a in accels[1:-1]:
@@ -268,24 +273,25 @@ def test_spring_chain_lowest_mode_frequency():
     omega1 = 2.0 * math.sqrt(k / m) * math.sin(math.pi / (2 * (n + 1)))
     period = 2.0 * math.pi / omega1
 
-    particles = tuple(
+    particles = [
         (Vec3((i + 1) * spacing + amp * math.sin((i + 1) * math.pi / (n + 1)), 0.0, 0.0), ZERO)
         for i in range(n)
-    )
-    state = SystemState(0.0, particles)
+    ]
+    state = system(0.0, particles)
     accel = spring_chain_accel(k, spacing, m, fixed_ends=True)
 
     mid = n // 2
+    mid_x = 1 + 3 * mid  # index of the middle particle's x in the flat state
     equilibrium_x = (mid + 1) * spacing
     dt = 0.05
     crossings = []
-    previous = state.particles[mid][0].x - equilibrium_x
+    previous = state[mid_x] - equilibrium_x
     for _ in range(int(5 * period / dt)):
-        nxt = euler_cromer_system_step(accel, dt, state)
-        deviation = nxt.particles[mid][0].x - equilibrium_x
+        nxt = euler_cromer_step(accel, dt, state)
+        deviation = nxt[mid_x] - equilibrium_x
         if (previous > 0) != (deviation > 0):
             fraction = previous / (previous - deviation)
-            crossings.append(state.t + fraction * dt)
+            crossings.append(state[0] + fraction * dt)
         previous = deviation
         state = nxt
 
@@ -299,68 +305,81 @@ def test_spring_chain_rejects_bad_parameters():
     with pytest.raises(ValueError):
         spring_chain_accel(k=1.0, spacing=-1.0, mass=1.0)
     with pytest.raises(ValueError):
-        spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(SystemState(0.0, ()))
+        spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(0.0, (), ())
+
+
+@pytest.mark.parametrize(
+    "fixed_ends, particles",
+    [
+        (True, [(Vec3(1.0, 0.5, 0.0), ZERO), (Vec3(1.0, 0.5, 0.0), ZERO)]),
+        (False, [(Vec3(1.0, 0.5, 0.0), ZERO), (Vec3(1.0, 0.5, 0.0), ZERO)]),
+        (True, [(ZERO, ZERO)]),  # on the fixed anchor at the origin
+    ],
+)
+def test_spring_chain_coincident_neighbors_is_domain_error(fixed_ends, particles):
+    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0, fixed_ends=fixed_ends)
+    with pytest.raises(DomainError, match="coincide"):
+        accel_at(accel, system(0.0, particles))
 
 
 # --- pendulum ----------------------------------------------------------------------
 
 
 def test_pendulum_stable_equilibrium():
-    d = pendulum_deriv(9.8, 1.0)(AngularState(0.0, 0.0, 0.0))
-    assert d == AngularStateDeriv(1.0, 0.0, 0.0)
+    d = second_order_equation(pendulum_accel(9.8, 1.0))((0.0, 0.0, 0.0))
+    assert d == (1.0, 0.0, 0.0)
 
 
 def test_pendulum_unstable_equilibrium():
-    d = pendulum_deriv(9.8, 1.0)(AngularState(0.0, math.pi, 0.0))
-    assert abs(d.domega) <= 1e-12  # sin(pi) at float precision
+    (alpha,) = pendulum_accel(9.8, 1.0)(0.0, (math.pi,), (0.0,))
+    assert abs(alpha) <= 1e-12  # sin(pi) at float precision
 
 
 def test_pendulum_right_angle():
-    d = pendulum_deriv(9.8, 1.0)(AngularState(0.0, math.pi / 2, 0.0))
-    assert d.domega == pytest.approx(-9.8, rel=1e-15)
+    (alpha,) = pendulum_accel(9.8, 1.0)(0.0, (math.pi / 2,), (0.0,))
+    assert alpha == pytest.approx(-9.8, rel=1e-15)
 
 
 def test_pendulum_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        pendulum_deriv(0.0, 1.0)
+        pendulum_accel(0.0, 1.0)
     with pytest.raises(ValueError):
-        pendulum_deriv(9.8, -1.0)
+        pendulum_accel(9.8, -1.0)
 
 
 def test_angular_state_shift_laws():
-    s = AngularState(0.0, 0.3, -0.1)
-    zero = AngularStateDeriv(0.0, 0.0, 0.0)
-    d1 = AngularStateDeriv(1.0, 0.05, -0.2)
-    d2 = d1 * 0.25
+    s = (0.0, 0.3, -0.1)
+    zero = (0.0, 0.0, 0.0)
+    d1 = (1.0, 0.05, -0.2)
+    d2 = times(d1, 0.25)
     assert shift(s, zero) == s
     stepped = shift(shift(s, d1), d2)
-    combined = shift(s, d1 + d2)
-    assert stepped.t == pytest.approx(combined.t, abs=1e-12)
-    assert stepped.theta == pytest.approx(combined.theta, abs=1e-12)
-    assert stepped.omega == pytest.approx(combined.omega, abs=1e-12)
+    combined = shift(s, plus(d1, d2))
+    for got, want in zip(stepped, combined):  # t, theta, omega
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_angular_cromer_step_uses_new_omega():
-    out = euler_cromer_angular_step(lambda s: -2.0, 0.1, AngularState(0.0, 1.0, 0.0))
-    assert out == AngularState(0.1, 1.0 + (-0.2) * 0.1, -0.2)
+    out = euler_cromer_step(lambda t, q, v: (-2.0,), 0.1, (0.0, 1.0, 0.0))
+    assert out == (0.1, 1.0 + (-0.2) * 0.1, -0.2)
 
 
 def test_pendulum_small_angle_period():
     """RK4 integration reproduces 2 pi sqrt(length / g) for small swings."""
     g, length, theta0 = 9.8, 1.0, 0.01
-    equation = pendulum_deriv(g, length)
+    equation = second_order_equation(pendulum_accel(g, length))
     analytic = 2.0 * math.pi * math.sqrt(length / g)
 
-    state = AngularState(0.0, theta0, 0.0)
+    state = (0.0, theta0, 0.0)
     dt = 0.001
     crossings = []
-    previous = state.theta
+    previous = state[1]
     for _ in range(int(2.2 * analytic / dt)):
         nxt = rk4_method(equation, dt, state)
-        if (previous > 0) != (nxt.theta > 0):
-            fraction = previous / (previous - nxt.theta)
-            crossings.append(state.t + fraction * dt)
-        previous = nxt.theta
+        if (previous > 0) != (nxt[1] > 0):
+            fraction = previous / (previous - nxt[1])
+            crossings.append(state[0] + fraction * dt)
+        previous = nxt[1]
         state = nxt
 
     measured = 2.0 * (crossings[-1] - crossings[0]) / (len(crossings) - 1)
@@ -370,20 +389,12 @@ def test_pendulum_small_angle_period():
 # --- trajectory projection ------------------------------------------------------------
 
 
-def test_tx_pairs_empty():
-    assert list(tx_pairs([])) == []
-
-
-def test_tx_pairs_single():
-    states = [ParticleState(0.0, Vec3(1, 0, 0), Vec3(9, 9, 9))]
-    assert list(tx_pairs(states)) == [(0.0, 1.0)]
-
-
 def test_tx_pairs_sho_start_decreases():
     import itertools
 
-    stream = solve_states(damped_driven_osc(0.0, 0.0, 0.0), 0.01, ParticleState(0.0, X_HAT, ZERO))
-    pairs = list(tx_pairs(itertools.islice(stream, 3)))
+    problem = InitialValueProblem(damped_driven_osc(0.0, 0.0, 0.0), one_particle_system(X_HAT, ZERO))
+    stream = solution_stream(euler_cromer_step, 0.01, problem)
+    pairs = [(state[0], state[1]) for state in itertools.islice(stream, 3)]
     xs = [x for _, x in pairs]
     assert xs[0] == 1.0
     assert 1.0 > xs[1] > xs[2]

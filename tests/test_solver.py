@@ -9,97 +9,104 @@ import pytest
 from mechfield.mechanics import satellite_accel
 from mechfield.solver import (
     InitialValueProblem,
-    ParticleState,
-    ParticleStateDeriv,
     euler_cromer_step,
     euler_method,
-    euler_step,
-    particle_equation,
     rk4_method,
-    shift,
+    second_order_equation,
     solution_stream,
-    solve_states,
 )
 from mechfield.vectors import Vec3, X_HAT, ZERO
 
 
 def constant_accel(a: Vec3):
-    return lambda state: a
+    return lambda t, q, v: a
 
 
 FREE = constant_accel(ZERO)
 
 
-def random_state(rng: random.Random) -> ParticleState:
-    return ParticleState(
+def particle(t: float, r: Vec3, v: Vec3) -> tuple:
+    """A one-particle state in the flat layout (t, x, y, z, vx, vy, vz)."""
+    return (t, *r, *v)
+
+
+def random_state(rng: random.Random) -> tuple:
+    return particle(
         rng.uniform(0, 10),
         Vec3(*(rng.uniform(-5, 5) for _ in range(3))),
         Vec3(*(rng.uniform(-5, 5) for _ in range(3))),
     )
 
 
+def euler_step(a: Vec3, dt: float, state: tuple) -> tuple:
+    """Oracle: one explicit Euler step for a particle, in vector algebra."""
+    t, r, v = state[0], Vec3(*state[1:4]), Vec3(*state[4:])
+    return particle(t + dt, r + v * dt, v + a * dt)
+
+
 # --- explicit Euler ---------------------------------------------------------
 
 
 def test_euler_step_position_uses_old_velocity():
-    s = ParticleState(0.0, ZERO, ZERO)
-    out = euler_step(constant_accel(Vec3(0, 0, -10)), 0.1, s)
-    assert out == ParticleState(0.1, ZERO, Vec3(0, 0, -1.0))
+    s = particle(0.0, ZERO, ZERO)
+    out = euler_method(second_order_equation(constant_accel(Vec3(0, 0, -10))), 0.1, s)
+    assert out == particle(0.1, ZERO, Vec3(0, 0, -1.0))
 
 
 def test_euler_step_zero_dt_is_identity():
-    s = ParticleState(2.0, Vec3(1, 2, 3), Vec3(4, 5, 6))
-    assert euler_step(constant_accel(Vec3(0, 0, -10)), 0.0, s) == s
+    s = particle(2.0, Vec3(1, 2, 3), Vec3(4, 5, 6))
+    assert euler_method(second_order_equation(constant_accel(Vec3(0, 0, -10))), 0.0, s) == s
 
 
 def test_euler_step_uniform_motion():
-    s = ParticleState(0.0, ZERO, Vec3(1, 0, 0))
-    assert euler_step(FREE, 1.0, s) == ParticleState(1.0, Vec3(1, 0, 0), Vec3(1, 0, 0))
+    s = particle(0.0, ZERO, Vec3(1, 0, 0))
+    assert euler_method(second_order_equation(FREE), 1.0, s) == particle(1.0, Vec3(1, 0, 0), Vec3(1, 0, 0))
 
 
 # --- Euler-Cromer -----------------------------------------------------------
 
 
 def test_euler_cromer_step_position_uses_new_velocity():
-    s = ParticleState(0.0, ZERO, ZERO)
+    s = particle(0.0, ZERO, ZERO)
     out = euler_cromer_step(constant_accel(Vec3(0, 0, -10)), 0.1, s)
-    assert out == ParticleState(0.1, Vec3(0, 0, -0.1), Vec3(0, 0, -1.0))
+    assert out == particle(0.1, Vec3(0, 0, -0.1), Vec3(0, 0, -1.0))
 
 
 def test_euler_cromer_zero_dt_is_identity():
-    s = ParticleState(1.0, Vec3(1, 1, 1), Vec3(2, 2, 2))
+    s = particle(1.0, Vec3(1, 1, 1), Vec3(2, 2, 2))
     assert euler_cromer_step(constant_accel(Vec3(3, 0, 0)), 0.0, s) == s
 
 
 def test_steppers_coincide_for_zero_acceleration():
     rng = random.Random(11)
+    equation = second_order_equation(FREE)
     for _ in range(100):
         s = random_state(rng)
         dt = rng.uniform(-2, 2)
-        assert euler_step(FREE, dt, s) == euler_cromer_step(FREE, dt, s)
+        assert euler_method(equation, dt, s) == euler_cromer_step(FREE, dt, s)
 
 
 # --- differential equation construction -------------------------------------
 
 
 def test_particle_equation_free_particle():
-    eq = particle_equation(FREE)
-    d = eq(ParticleState(5.0, Vec3(1, 2, 3), Vec3(4, 5, 6)))
-    assert d == ParticleStateDeriv(1.0, Vec3(4, 5, 6), ZERO)
+    eq = second_order_equation(FREE)
+    d = eq(particle(5.0, Vec3(1, 2, 3), Vec3(4, 5, 6)))
+    assert d == (1.0, 4, 5, 6, 0, 0, 0)
 
 
 def test_particle_equation_time_rate_is_always_one():
     rng = random.Random(3)
-    eq = particle_equation(constant_accel(Vec3(0, -9.8, 0)))
+    eq = second_order_equation(constant_accel(Vec3(0, -9.8, 0)))
     for _ in range(50):
-        assert eq(random_state(rng)).dt == 1.0
+        assert eq(random_state(rng))[0] == 1.0
 
 
 def test_particle_equation_chains_satellite_acceleration():
-    s = ParticleState(0.0, Vec3(7e6, 0, 0), Vec3(0, 7500, 0))
-    d = particle_equation(satellite_accel)(s)
-    assert d.dr == Vec3(0, 7500, 0)
-    assert d.dv == satellite_accel(s)
+    s = particle(0.0, Vec3(7e6, 0, 0), Vec3(0, 7500, 0))
+    d = second_order_equation(satellite_accel)(s)
+    assert d[1:4] == (0, 7500, 0)
+    assert d[4:] == satellite_accel(s[0], s[1:4], s[4:])
 
 
 # --- generic evolution methods ----------------------------------------------
@@ -107,39 +114,40 @@ def test_particle_equation_chains_satellite_acceleration():
 
 def test_euler_method_reproduces_euler_step_exactly():
     rng = random.Random(42)
-    accel = constant_accel(Vec3(0.3, -1.2, 2.5))
-    eq = particle_equation(accel)
+    a = Vec3(0.3, -1.2, 2.5)
+    eq = second_order_equation(constant_accel(a))
     for _ in range(200):
         s = random_state(rng)
         dt = rng.uniform(-1, 1)
-        assert euler_method(eq, dt, s) == euler_step(accel, dt, s)
+        assert euler_method(eq, dt, s) == euler_step(a, dt, s)
 
 
 def test_euler_method_on_scalar_state():
     # dy/dt = y, y0 = 1, one step of 0.5
-    assert euler_method(lambda y: y, 0.5, 1.0) == 1.5
+    assert euler_method(lambda y: y, 0.5, (1.0,)) == (1.5,)
 
 
 def test_euler_method_zero_dt():
-    s = ParticleState(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
-    assert euler_method(particle_equation(FREE), 0.0, s) == s
+    s = particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
+    assert euler_method(second_order_equation(FREE), 0.0, s) == s
 
 
 def test_rk4_zero_dt():
-    s = ParticleState(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
-    assert rk4_method(particle_equation(FREE), 0.0, s) == s
+    s = particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
+    assert rk4_method(second_order_equation(FREE), 0.0, s) == s
 
 
 def test_rk4_single_step_value():
     # dy/dt = y over dt = 1: stage sum 1 + 1 + 1/2 + 1/6 + 1/24
-    assert rk4_method(lambda y: y, 1.0, 1.0) == pytest.approx(2.708333333333333, rel=1e-15)
+    (y,) = rk4_method(lambda y: y, 1.0, (1.0,))
+    assert y == pytest.approx(2.708333333333333, rel=1e-15)
 
 
 def _global_error(method, dt: float) -> float:
-    y = 1.0
+    y = (1.0,)
     for _ in range(round(1.0 / dt)):
         y = method(lambda v: v, dt, y)
-    return abs(y - math.e)
+    return abs(y[0] - math.e)
 
 
 def test_rk4_error_drops_sixteen_fold_when_dt_halves():
@@ -150,79 +158,88 @@ def test_rk4_error_drops_sixteen_fold_when_dt_halves():
 # --- state-space laws --------------------------------------------------------
 
 
+def shift(state: tuple, delta: tuple) -> tuple:
+    """Advance a flat state by a rate held over unit time: one Euler update."""
+    return euler_method(lambda y: delta, 1.0, state)
+
+
 def test_shift_laws_for_particle_state():
     rng = random.Random(5)
-    zero = ParticleStateDeriv(0.0, ZERO, ZERO)
+    zero = particle(0.0, ZERO, ZERO)
     for _ in range(100):
         s = random_state(rng)
-        d1 = ParticleStateDeriv(rng.uniform(-1, 1), Vec3(1, 2, 3) * rng.random(), Vec3(-1, 0, 2) * rng.random())
-        d2 = d1 * rng.uniform(-2, 2)
+        d1 = particle(rng.uniform(-1, 1), Vec3(1, 2, 3) * rng.random(), Vec3(-1, 0, 2) * rng.random())
+        d2 = tuple(c * rng.uniform(-2, 2) for c in d1)
         assert shift(s, zero) == s
         once = shift(shift(s, d1), d2)
-        combined = shift(s, d1 + d2)
-        assert once.t == pytest.approx(combined.t, abs=1e-12)
-        assert (once.r - combined.r).magnitude() <= 1e-12
-        assert (once.v - combined.v).magnitude() <= 1e-12
+        combined = shift(s, tuple(a + b for a, b in zip(d1, d2)))
+        assert once[0] == pytest.approx(combined[0], abs=1e-12)
+        assert (Vec3(*once[1:4]) - Vec3(*combined[1:4])).magnitude() <= 1e-12
+        assert (Vec3(*once[4:]) - Vec3(*combined[4:])).magnitude() <= 1e-12
 
 
 def test_shift_laws_for_scalar_state():
-    assert shift(3.25, 0.0) == 3.25
-    assert shift(shift(1.5, 0.25), 0.5) == shift(1.5, 0.75)
+    assert shift((3.25,), (0.0,)) == (3.25,)
+    assert shift(shift((1.5,), (0.25,)), (0.5,)) == shift((1.5,), (0.75,))
 
 
 # --- solution streams ---------------------------------------------------------
 
 
 def test_stream_starts_at_initial_state():
-    s0 = ParticleState(0.0, X_HAT, ZERO)
-    problem = InitialValueProblem(particle_equation(FREE), s0)
+    s0 = particle(0.0, X_HAT, ZERO)
+    problem = InitialValueProblem(second_order_equation(FREE), s0)
     for method in (euler_method, rk4_method):
         assert next(solution_stream(method, 0.1, problem)) == s0
 
 
 def test_stream_matches_manual_iteration():
-    accel = constant_accel(Vec3(0, 0, -9.8))
-    problem = InitialValueProblem(particle_equation(accel), ParticleState(0.0, ZERO, X_HAT))
+    a = Vec3(0, 0, -9.8)
+    problem = InitialValueProblem(second_order_equation(constant_accel(a)), particle(0.0, ZERO, X_HAT))
     stream = solution_stream(euler_method, 0.05, problem)
-    manual = ParticleState(0.0, ZERO, X_HAT)
+    manual = particle(0.0, ZERO, X_HAT)
     for state in itertools.islice(stream, 20):
         assert state == manual
-        manual = euler_step(accel, 0.05, manual)
+        manual = euler_step(a, 0.05, manual)
 
 
 def test_stream_time_accumulates():
-    problem = InitialValueProblem(particle_equation(FREE), ParticleState(0.0, ZERO, ZERO))
+    problem = InitialValueProblem(second_order_equation(FREE), particle(0.0, ZERO, ZERO))
     states = list(itertools.islice(solution_stream(euler_method, 0.25, problem), 5))
-    assert states[4].t == 1.0
+    assert states[4][0] == 1.0
 
 
 def test_stream_reconsumption_is_identical():
     problem = InitialValueProblem(
-        particle_equation(constant_accel(Vec3(0.1, 0.2, 0.3))),
-        ParticleState(0.0, Vec3(1, 1, 1), ZERO),
+        second_order_equation(constant_accel(Vec3(0.1, 0.2, 0.3))),
+        particle(0.0, Vec3(1, 1, 1), ZERO),
     )
     first = list(itertools.islice(solution_stream(rk4_method, 0.1, problem), 50))
     second = list(itertools.islice(solution_stream(rk4_method, 0.1, problem), 50))
     assert first == second
 
 
+# --- Euler-Cromer streams: euler_cromer_step as the method, accel as the equation
+
+
 def test_solve_states_starts_at_initial_state():
     from mechfield.mechanics import damped_driven_osc
 
-    s0 = ParticleState(0.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
-    stream = solve_states(damped_driven_osc(0.0, 1.0, 0.7), 0.01, s0)
-    assert next(stream) == s0
+    s0 = particle(0.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
+    problem = InitialValueProblem(damped_driven_osc(0.0, 1.0, 0.7), s0)
+    assert next(solution_stream(euler_cromer_step, 0.01, problem)) == s0
 
 
 def test_solve_states_free_particle_keeps_velocity():
-    stream = solve_states(FREE, 0.5, ParticleState(0.0, ZERO, Vec3(2, -1, 0)))
-    for state in itertools.islice(stream, 10):
-        assert state.v == Vec3(2, -1, 0)
+    problem = InitialValueProblem(FREE, particle(0.0, ZERO, Vec3(2, -1, 0)))
+    for state in itertools.islice(solution_stream(euler_cromer_step, 0.5, problem), 10):
+        assert state[4:] == (2, -1, 0)
 
 
 def test_solve_states_sho_returns_after_one_cycle():
     from mechfield.mechanics import damped_driven_osc
 
-    stream = solve_states(damped_driven_osc(0.0, 0.0, 0.0), 0.01, ParticleState(0.0, X_HAT, ZERO))
+    problem = InitialValueProblem(damped_driven_osc(0.0, 0.0, 0.0), particle(0.0, X_HAT, ZERO))
+    stream = solution_stream(euler_cromer_step, 0.01, problem)
     state = next(itertools.islice(stream, 628, None))  # t = 6.28, one period of the unit SHO
-    assert (state.r - X_HAT).magnitude() < 1e-3
+    assert (Vec3(*state[1:4]) - X_HAT).magnitude() < 1e-3

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from mechfield.vectors import (
-    ORIGIN,
     Position,
     Vec3,
     X_HAT,
@@ -16,7 +15,6 @@ from mechfield.vectors import (
     displacement,
     format_scalar,
     parse_triple,
-    vec_sum,
 )
 
 
@@ -91,21 +89,7 @@ class TestProducts:
         assert Vec3(1, 1, 1).magnitude() == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
-class TestVecSum:
-    def test_empty(self):
-        assert vec_sum([]) == ZERO
-
-    def test_singleton(self):
-        assert vec_sum([Vec3(1, 0, 0)]) == Vec3(1, 0, 0)
-
-    def test_cancellation(self):
-        assert vec_sum([Vec3(1, 2, 3), Vec3(4, 5, 6), Vec3(-5, -7, -9)]) == ZERO
-
-
 class TestPosition:
-    def test_origin(self):
-        assert Position(0, 0, 0) == ORIGIN
-
     def test_accessors(self):
         p = Position(1, 2, 3)
         assert (p.x, p.y, p.z) == (1, 2, 3)
@@ -122,7 +106,7 @@ class TestPosition:
         assert displacement(p, p) == ZERO
 
     def test_displacement_from_origin(self):
-        assert displacement(ORIGIN, Position(1, 2, 3)) == Vec3(1, 2, 3)
+        assert displacement(Position(0, 0, 0), Position(1, 2, 3)) == Vec3(1, 2, 3)
 
     def test_displacement(self):
         assert displacement(Position(1, 0, 0), Position(0, 2, 0)) == Vec3(-1, 2, 0)
@@ -132,10 +116,10 @@ class TestPosition:
         assert p.shifted(ZERO) == p
 
     def test_shift_from_origin(self):
-        assert ORIGIN.shifted(Vec3(1, 2, 3)) == Position(1, 2, 3)
+        assert Position(0, 0, 0).shifted(Vec3(1, 2, 3)) == Position(1, 2, 3)
 
     def test_shift_back_to_origin(self):
-        assert Position(1, 1, 1).shifted(Vec3(-1, -1, -1)) == ORIGIN
+        assert Position(1, 1, 1).shifted(Vec3(-1, -1, -1)) == Position(0, 0, 0)
 
 
 class TestAlgebraProperties:

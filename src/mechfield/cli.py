@@ -9,7 +9,8 @@ Three subcommands:
 Everything is configured by flags; output is deterministic, so identical
 invocations produce byte-identical files. Exit codes: 0 on success, 2 for
 usage errors, 3 for domain errors such as evaluating a field on its own
-source.
+source or a simulation whose state stops being finite, 4 when the output
+file cannot be written.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .vectors import Position, format_scalar, parse_triple
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_IO = 4
 
 METHODS = ("euler", "euler-cromer", "rk4")
 
@@ -159,10 +161,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return evolve(run.equation, dt_, state)
 
     state = run.initial
-    lines = [run.header, ",".join(format_scalar(v) for v in run.row(state))]
-    for _ in range(steps):
-        state = step(dt, state)
-        lines.append(",".join(format_scalar(v) for v in run.row(state)))
+    lines = [run.header]
+    for number in range(steps + 1):
+        if number:
+            state = step(dt, state)
+        line = ",".join(format_scalar(v) for v in run.row(state))
+        # The repr of a finite float never contains an "n", and "inf" and
+        # "nan" do: one substring test per row stops a run that blew up.
+        if "n" in line:
+            raise DomainError(f"state is not finite at step {number}, t = {format_scalar(state[0])}")
+        lines.append(line)
     _write_output(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -179,8 +187,6 @@ def _make_field(args: argparse.Namespace) -> VectorField:
 
 
 def _cmd_field(args: argparse.Namespace) -> int:
-    if args.intervals < 1:
-        return _usage_error("--intervals must be >= 1")
     try:
         point = Position(*parse_triple(args.at))
     except ValueError as exc:
@@ -197,8 +203,6 @@ def _axis_values(lo: float, hi: float, count: int) -> list[float]:
 
 
 def _cmd_field_grid(args: argparse.Namespace) -> int:
-    if args.intervals < 1:
-        return _usage_error("--intervals must be >= 1")
     counts = (args.x_count, args.y_count, args.z_count)
     if any(c < 1 for c in counts):
         return _usage_error("grid counts must be >= 1")
@@ -238,6 +242,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # bad parameter values rejected by the builders
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # --out names a file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

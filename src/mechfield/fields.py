@@ -6,19 +6,25 @@ linear charge density and a curve, the magnetic field of a line current
 takes a current and a curve, and each returns a vector field, a plain
 function from position to Vec3.
 
-Both integrators chop the parameter interval into equal pieces, sample
-the integrand at each piece's midpoint, and weight by the chord between
-the piece's endpoints (its length for plain line integrals, the chord
-vector itself for the crossed variant). No tangent vectors are required
-of the caller, and the scheme is second order: halving the interval
-width cuts the error about four-fold for smooth integrands.
+Every integral here cuts the parameter interval into equal pieces,
+samples the integrand at each piece's midpoint, and weights by the chord
+between the piece's endpoints (its length for plain line integrals, the
+chord vector itself for the crossed variant). No tangent vectors are
+required of the caller, and the scheme is second order: halving the
+interval width cuts the error about four-fold for smooth integrands.
+A field builder cuts its curve once, when the field is built; the field
+then runs a flat E or B kernel over the stored pieces, and the source it
+knows is their polyline of chords plus the midpoint samples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from functools import reduce
+from typing import Callable, Iterator, TypeVar
 
 from .errors import DomainError
 from .vectors import Position, Vec3, ZERO, displacement
@@ -40,8 +46,8 @@ __all__ = [
 COULOMB_CONSTANT = 9e9  # N m^2 / C^2, i.e. 1 / (4 pi eps0)
 BIOT_SAVART_CONSTANT = 1e-7  # T m / A, i.e. mu0 / (4 pi)
 
-# Minimum distance between a field point and a quadrature sample before the
-# evaluation counts as "on the source" and is refused.
+# Minimum distance between a field point and a quadrature chord or sample
+# before the evaluation counts as "on the source" and is refused.
 ON_SOURCE_DISTANCE = 1e-12  # m
 
 # A field assigns a value to every position: a number for scalar fields
@@ -86,24 +92,27 @@ def line_segment(length: float) -> Curve:
     return Curve(lambda t: Position(0.0, 0.0, t), -length / 2.0, length / 2.0)
 
 
+def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, Position]]:
+    """Cut a curve into equal parameter pieces: each one's chord start, midpoint sample and chord end."""
+    if intervals < 1:
+        raise ValueError(f"need at least one interval, got {intervals}")
+    width = (curve.end - curve.start) / intervals
+    previous = curve.func(curve.start)
+    for i in range(intervals):
+        sample = curve.func(curve.start + (i + 0.5) * width)
+        following = curve.func(curve.start + (i + 1) * width)
+        yield previous, sample, following
+        previous = following
+
+
 def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) -> V:
     """Integrate a scalar or vector field along a curve.
 
     Midpoint samples weighted by chord lengths; see the module docstring.
     A constant field integrates to (constant) * (polyline arc length).
     """
-    if intervals < 1:
-        raise ValueError("need at least one interval")
-    width = (curve.end - curve.start) / intervals
-    previous = curve.func(curve.start)
-    total = None
-    for i in range(intervals):
-        sample = field(curve.func(curve.start + (i + 0.5) * width))
-        following = curve.func(curve.start + (i + 1) * width)
-        total_term = sample * displacement(previous, following).magnitude()
-        total = total_term if total is None else total + total_term
-        previous = following
-    return total
+    terms = (field(s) * displacement(a, b).magnitude() for a, s, b in _pieces(intervals, curve))
+    return reduce(operator.add, terms)
 
 
 def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> Vec3:
@@ -114,17 +123,37 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
     closed curve the chords telescope, so a constant field integrates to
     zero up to float summation.
     """
-    if intervals < 1:
-        raise ValueError("need at least one interval")
-    width = (curve.end - curve.start) / intervals
-    previous = curve.func(curve.start)
-    total = ZERO
-    for i in range(intervals):
-        sample = field(curve.func(curve.start + (i + 0.5) * width))
-        following = curve.func(curve.start + (i + 1) * width)
-        total = total + sample.cross(displacement(previous, following))
-        previous = following
-    return total
+    return sum((field(s).cross(displacement(a, b)) for a, s, b in _pieces(intervals, curve)), ZERO)
+
+
+def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[list[array], float]:
+    """A curve's pieces as ten flat float columns, and the reach of their samples.
+
+    Per piece: sample x, y, z, the source strength there, chord start x, y,
+    z and chord x, y, z. A point on a piece is nearer than the reach to the
+    piece's sample.
+    """
+    columns = [array("d") for _ in range(10)]
+    sx, sy, sz, q, ax, ay, az, cx, cy, cz = (column.append for column in columns)
+    farthest = 0.0  # squared, from a sample to the farther end of its chord
+    for start, sample, end in _pieces(intervals, curve):
+        x, y, z, a, b, c = sample.x, sample.y, sample.z, start.x, start.y, start.z
+        sx(x), sy(y), sz(z), q(strength(sample)), ax(a), ay(b), az(c)
+        cx(end.x - a), cy(end.y - b), cz(end.z - c)
+        ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
+        farthest = max(farthest, ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz)
+    return columns, (math.sqrt(farthest) + ON_SOURCE_DISTANCE) * (1.0 + 1e-9)  # with slack for rounding
+
+
+def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> None:
+    """Raise :class:`DomainError` within ON_SOURCE_DISTANCE of any sample or chord."""
+    px, py, pz = p
+    for sx, sy, sz, _, ax, ay, az, cx, cy, cz in zip(*columns):
+        along = (px - ax) * cx + (py - ay) * cy + (pz - az) * cz  # positive only on a nonzero chord
+        f = min(along / (cx * cx + cy * cy + cz * cz), 1.0) if along > 0.0 else 0.0
+        nearest = (ax + f * cx, ay + f * cy, az + f * cz)
+        if min(math.dist(p, (sx, sy, sz)), math.dist(p, nearest)) < ON_SOURCE_DISTANCE:
+            raise DomainError("field point on source")
 
 
 def electric_field_of_line_charge(
@@ -132,22 +161,31 @@ def electric_field_of_line_charge(
 ) -> VectorField:
     """Electric field (V/m) of charge spread along a curve.
 
-    ``density`` is the linear charge density in C/m at each source point.
-    The field at point p is COULOMB_CONSTANT times the line integral over
-    the curve of density(q) d / |d|^3, where d runs from the source point
-    q to p. Evaluating within 1e-12 m of a quadrature sample on the curve
-    raises :class:`DomainError` rather than returning garbage.
+    ``density`` is the linear charge density in C/m at each source point,
+    read once per quadrature sample when the field is built. The field at
+    point p is COULOMB_CONSTANT times the line integral over the curve of
+    density(q) d / |d|^3, where d runs from the source point q to p.
+    Evaluating within 1e-12 m of the source, which for a curved source is
+    the polyline of quadrature chords (and their midpoint samples), raises
+    :class:`DomainError` rather than returning garbage.
     """
+    columns, reach = _quadrature(intervals, curve, density)
+    xs, ys, zs, charge, _, _, _, cxs, cys, czs = columns
+    length = array("d", [math.sqrt(x * x + y * y + z * z) for x, y, z in zip(cxs, cys, czs)])
 
     def field(point: Position) -> Vec3:
-        def integrand(source: Position) -> Vec3:
-            d = displacement(source, point)
-            dist = d.magnitude()
-            if dist < ON_SOURCE_DISTANCE:
-                raise DomainError("field point on source")
-            return d * (density(source) / (dist * dist * dist))
-
-        return line_integral(intervals, integrand, curve) * COULOMB_CONSTANT
+        px, py, pz = point.x, point.y, point.z
+        ex = ey = ez = -0.0  # -0.0 + t == t for every t: the sum starts from its first term
+        for sx, sy, sz, q, w in zip(xs, ys, zs, charge, length):
+            dx, dy, dz = px - sx, py - sy, pz - sz
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist < reach:
+                _refuse_on_source(columns, (px, py, pz))
+            s = q / (dist * dist * dist)
+            ex += dx * s * w
+            ey += dy * s * w
+            ez += dz * s * w
+        return Vec3(ex, ey, ez) * COULOMB_CONSTANT
 
     return field
 
@@ -158,20 +196,29 @@ def magnetic_field_of_line_current(
     """Magnetic field (tesla) of a current flowing along a curve.
 
     Biot-Savart: the field at p is BIOT_SAVART_CONSTANT * current times
-    the integral of dl x d / |d|^3 with d from source to p. The crossed
-    integrator computes field x dl, the opposite order, so the integrand
+    the integral of dl x d / |d|^3 with d from source to p. Each term is
+    computed as field x dl, the opposite order, so the sampled value
     carries a minus sign on the current to compensate. Evaluation within
-    1e-12 m of a quadrature sample raises :class:`DomainError`.
+    1e-12 m of the source, the polyline of quadrature chords (and their
+    midpoint samples), raises :class:`DomainError`.
     """
+    strength = -current
+    columns, reach = _quadrature(intervals, curve, lambda _source: strength)
+    xs, ys, zs, weight, _, _, _, cxs, cys, czs = columns
 
     def field(point: Position) -> Vec3:
-        def integrand(source: Position) -> Vec3:
-            d = displacement(source, point)
-            dist = d.magnitude()
-            if dist < ON_SOURCE_DISTANCE:
-                raise DomainError("field point on source")
-            return d * (-current / (dist * dist * dist))
-
-        return crossed_line_integral(intervals, integrand, curve) * BIOT_SAVART_CONSTANT
+        px, py, pz = point.x, point.y, point.z
+        bx = by = bz = 0.0
+        for sx, sy, sz, q, cx, cy, cz in zip(xs, ys, zs, weight, cxs, cys, czs):
+            dx, dy, dz = px - sx, py - sy, pz - sz
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist < reach:
+                _refuse_on_source(columns, (px, py, pz))
+            s = q / (dist * dist * dist)
+            dx, dy, dz = dx * s, dy * s, dz * s
+            bx += dy * cz - dz * cy
+            by += dz * cx - dx * cz
+            bz += dx * cy - dy * cx
+        return Vec3(bx, by, bz) * BIOT_SAVART_CONSTANT
 
     return field

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mechfield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from mechfield.fields import circular_loop, magnetic_field_of_line_current
 from mechfield.vectors import Position
 
@@ -100,6 +100,27 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_blow_up_is_domain_error(capsys):
+    # explicit Euler at dt = 10 s grows the oscillation until it overflows at step 308
+    code, out, err = run_cli(capsys, "simulate", "sho", "--method", "euler", "--dt", "10", "--steps", "400")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "not finite at step 308, t = 3080" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "sho", "--steps", "2"),
+    ("field-grid", "b-loop", "--intervals", "10"),
+])
+def test_unwritable_out_is_io_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_simulate_unknown_scenario_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "warp-drive")
     assert code == EXIT_USAGE
@@ -184,12 +205,29 @@ def test_field_e_line_worked_example(capsys):
 
 
 def test_field_on_source_is_domain_error(capsys):
-    # with 999 intervals the middle quadrature sample lands on the origin
-    code, _, err = run_cli(
-        capsys, "field", "e-line", "--length", "1", "--intervals", "999", "--at", "0,0,0"
-    )
-    assert code == EXIT_DOMAIN
-    assert "field point on source" in err
+    for argv in (
+        # with 999 intervals the middle quadrature sample lands on the origin
+        ("e-line", "--length", "1", "--intervals", "999", "--at", "0,0,0"),
+        # on the source between two samples, and at its end
+        ("e-line", "--at", "0,0,1e-4"),
+        ("e-line", "--at", "0,0,0.5"),
+        # a vertex of the 4-chord polyline standing in for the loop
+        ("b-loop", "--intervals", "4", "--at", "1,0,0"),
+    ):
+        code, out, err = run_cli(capsys, "field", *argv)
+        assert code == EXIT_DOMAIN, argv
+        assert out == ""
+        assert "field point on source" in err
+
+
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+def test_zero_intervals_is_usage_error(capsys, command):
+    argv = [command, "b-loop", "--intervals", "0"] + (["--at", "0,0,1"] if command == "field" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "interval" in err
+    assert "Traceback" not in err
 
 
 def test_field_bad_at_is_usage_error(capsys):

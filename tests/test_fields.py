@@ -1,6 +1,7 @@
 """Curve, quadrature, and field-builder tests."""
 
 import math
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from mechfield.fields import (
     line_segment,
     magnetic_field_of_line_current,
 )
-from mechfield.vectors import Position, Vec3, X_HAT, Z_HAT, ZERO
+from mechfield.vectors import Position, Vec3, X_HAT, Z_HAT, ZERO, displacement
 
 MU_0 = 4.0 * math.pi * 1e-7
 
@@ -155,8 +156,11 @@ class TestElectricField:
         width = (curve.end - curve.start) / intervals
         on_curve = curve.func(curve.start + 2.5 * width)  # an exact quadrature sample
         field = electric_field_of_line_charge(lambda p: 1e-9, curve, intervals)
-        with pytest.raises(DomainError, match="field point on source"):
-            field(on_curve)
+        between_samples = Position(0.0, 0.0, 0.01)
+        endpoint = Position(0.0, 0.0, 0.5)
+        for point in (on_curve, between_samples, endpoint):
+            with pytest.raises(DomainError, match="field point on source"):
+                field(point)
 
 
 class TestMagneticField:
@@ -204,5 +208,123 @@ class TestMagneticField:
         loop = circular_loop(1.0)
         sample = loop.func(loop.start + 0.5 * (loop.end - loop.start) / 4)
         field = magnetic_field_of_line_current(1.0, loop, 4)
-        with pytest.raises(DomainError, match="field point on source"):
-            field(sample)
+        vertex = loop.func(loop.start)
+        on_chord = Position(0.5, 0.5, 0.0)  # halfway from vertex (1, 0, 0) to vertex (0, 1, 0)
+        for point in (sample, vertex, on_chord):
+            with pytest.raises(DomainError, match="field point on source"):
+                field(point)
+
+    def test_curved_source_is_its_quadrature_polyline(self):
+        # with 4 intervals the source is a square plus the 4 midpoint samples;
+        # a point of the circle away from both is an ordinary field point
+        loop = circular_loop(1.0)
+        field = magnetic_field_of_line_current(1.0, loop, 4)
+        b = field(loop.func(0.1))
+        assert all(math.isfinite(c) for c in b)
+        assert field(Position(0.5, 0.5, 1e-9)).magnitude() > 0.0  # 1e-9 m off a chord is off the source
+
+
+# --- build once, evaluate many -------------------------------------------------
+
+
+def closure_e_field(density, curve, intervals, point):
+    """The E field as the closure integrand through the public integrator."""
+
+    def integrand(source):
+        d = displacement(source, point)
+        dist = d.magnitude()
+        return d * (density(source) / (dist * dist * dist))
+
+    return line_integral(intervals, integrand, curve) * COULOMB_CONSTANT
+
+
+def closure_b_field(current, curve, intervals, point):
+    """The B field as the closure integrand through the public crossed integrator."""
+
+    def integrand(source):
+        d = displacement(source, point)
+        dist = d.magnitude()
+        return d * (-current / (dist * dist * dist))
+
+    return crossed_line_integral(intervals, integrand, curve) * BIOT_SAVART_CONSTANT
+
+
+def bits(v: Vec3) -> tuple[str, ...]:
+    """Exact float contents, telling -0.0 from 0.0."""
+    return tuple(repr(c) for c in v)
+
+
+def oracle_points() -> list[Position]:
+    rng = random.Random(20261018)
+    points = [Position(*(rng.uniform(-2.0, 2.0) for _ in range(3))) for _ in range(44)]
+    # on an axis, so some components are signed zeros
+    points += [Position(1.0, 0.0, 0.0), Position(0.0, 0.7, 0.0), Position(0.0, 0.0, 2.0),
+               Position(0.0, 0.0, -1.5), Position(-0.3, 0.0, 0.2), Position(0.0, 0.0, 0.9)]
+    return points
+
+
+def counting_helix():
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return Position(0.6 * math.cos(t), 0.6 * math.sin(t), 0.1 * t)
+
+    return Curve(func, -1.0, 5.0), calls
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("intervals", [1, 7, 999, 1000])
+    def test_electric_field_matches_closure_oracle_bit_for_bit(self, intervals):
+        curve = line_segment(1.3)
+        for density in (lambda p: 1e-9 * (1.0 + p.z), lambda p: -2e-9):
+            field = electric_field_of_line_charge(density, curve, intervals)
+            for point in oracle_points():
+                assert bits(field(point)) == bits(closure_e_field(density, curve, intervals, point))
+
+    @pytest.mark.parametrize("intervals", [1, 7, 999, 1000])
+    def test_magnetic_field_matches_closure_oracle_bit_for_bit(self, intervals):
+        curve = circular_loop(0.8)
+        for current in (1.5, -0.25):
+            field = magnetic_field_of_line_current(current, curve, intervals)
+            for point in oracle_points():
+                assert bits(field(point)) == bits(closure_b_field(current, curve, intervals, point))
+
+    def test_curve_sampled_only_when_field_is_built(self):
+        n = 50
+        for build in (
+            lambda curve: electric_field_of_line_charge(lambda p: 1e-9, curve, n),
+            lambda curve: magnetic_field_of_line_current(1.0, curve, n),
+        ):
+            curve, calls = counting_helix()
+            field = build(curve)
+            assert len(calls) == 2 * n + 1
+            for point in oracle_points()[:5]:
+                field(point)
+            assert len(calls) == 2 * n + 1
+
+    def test_density_called_once_per_piece_at_build(self):
+        seen = []
+
+        def density(p):
+            seen.append(p)
+            return 1e-9 * p.z
+
+        field = electric_field_of_line_charge(density, line_segment(1.0), 25)
+        assert len(seen) == 25
+        field(Position(1.0, 2.0, 3.0))
+        assert len(seen) == 25
+
+    def test_one_field_at_many_points_equals_a_fresh_field_per_point(self):
+        curve, _ = counting_helix()
+        builders = (
+            lambda: electric_field_of_line_charge(lambda p: 1e-9 * p.x, curve, 300),
+            lambda: magnetic_field_of_line_current(2.0, curve, 300),
+        )
+        on_source = curve.func(curve.start)
+        for build in builders:
+            field = build()
+            for point in oracle_points():
+                with pytest.raises(DomainError):  # a refusal leaves the field intact
+                    field(on_source)
+                assert bits(field(point)) == bits(build()(point))

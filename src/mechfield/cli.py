@@ -1,24 +1,29 @@
-"""Command-line interface.
-
-Three subcommands:
+"""Command-line interface: a thin pipe over the library.
 
 ``simulate``    run a named mechanics scenario and emit its trajectory as CSV
 ``field``       evaluate an electric or magnetic field at one point
 ``field-grid``  sample a field over a rectangular grid to CSV
 
-Everything is configured by flags; output is deterministic, so identical
-invocations produce byte-identical files. Exit codes: 0 on success, 2 for
-usage errors, 3 for domain errors such as evaluating a field on its own
-source or a simulation whose state stops being finite, 4 when the output
-file cannot be written.
+``simulate`` makes its scenario flags from the parameters each scenario
+declares and takes its states from :func:`solution_stream`; both CSV
+commands hand their lines to one all-or-nothing writer, and identical
+invocations give byte-identical output. Commands raise, and :func:`main`
+maps the error to the exit code: 2 for usage errors (``ValueError``), 3
+for domain errors (``DomainError``: a point on a field's source, a state
+or field value that is not finite), 4 when ``--out`` cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import math
+import os
+import shutil
 import sys
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .fields import (
@@ -28,8 +33,15 @@ from .fields import (
     line_segment,
     magnetic_field_of_line_current,
 )
-from .scenarios import SCENARIOS, Scenario
-from .solver import euler_method, rk4_method
+from .scenarios import SCENARIOS, Scenario, ScenarioRun
+from .solver import (
+    InitialValueProblem,
+    State,
+    euler_cromer_step,
+    euler_method,
+    rk4_method,
+    solution_stream,
+)
 from .vectors import Position, format_scalar, parse_triple
 
 EXIT_OK = 0
@@ -37,9 +49,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-METHODS = ("euler", "euler-cromer", "rk4")
+METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_step, "rk4": rk4_method}
 
-SCENARIO_PARAMS = tuple(dict.fromkeys(name for scenario in SCENARIOS.values() for name in scenario.defaults))
+# Exit code per error a command raises, first match wins (DomainError is a ValueError).
+EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OSError, EXIT_IO))
 
 
 def _finite_float(text: str) -> float:
@@ -64,18 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--method", choices=METHODS, default="euler-cromer", help="evolution method")
     simulate.add_argument("--out", default=None, help="output file (default: stdout)")
     scenario_params = simulate.add_argument_group("scenario parameters")
-    scenario_params.add_argument("--beta", type=_finite_float, default=None, help="ddho: damping constant, kg/s")
-    scenario_params.add_argument("--amp", type=_finite_float, default=None, help="ddho: drive amplitude, N")
-    scenario_params.add_argument("--omega", type=_finite_float, default=None, help="ddho: drive angular frequency, rad/s")
-    scenario_params.add_argument("--g", type=_finite_float, default=None, help="pendulum: gravitational acceleration, m/s^2")
-    scenario_params.add_argument("--length", type=_finite_float, default=None, help="pendulum: arm length, m")
-    scenario_params.add_argument("--theta0", type=_finite_float, default=None, help="pendulum: initial angle, rad")
-    scenario_params.add_argument("--omega0", type=_finite_float, default=None, help="pendulum: initial angular velocity, rad/s")
-    scenario_params.add_argument("--particles", type=int, default=None, help="spring-chain: particle count")
-    scenario_params.add_argument("--k", type=_finite_float, default=None, help="spring-chain: spring constant, N/m")
-    scenario_params.add_argument("--spacing", type=_finite_float, default=None, help="spring-chain: lattice spacing, m")
-    scenario_params.add_argument("--mass", type=_finite_float, default=None, help="spring-chain: particle mass, kg")
-    scenario_params.add_argument("--amplitude", type=_finite_float, default=None, help="spring-chain: pluck amplitude, m")
+    for scenario in SCENARIOS.values():
+        for name, param in scenario.params.items():
+            kind = int if isinstance(param.default, int) else _finite_float
+            scenario_params.add_argument(f"--{name}", type=kind, default=None, help=f"{scenario.name}: {param.help}")
     simulate.set_defaults(handler=_cmd_simulate)
 
     def add_field_arguments(p: argparse.ArgumentParser) -> None:
@@ -108,71 +113,81 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _write_lines(out: str | None, lines: Iterable[str]) -> None:
+    """Write CSV lines all or nothing: to the file ``out``, or to stdout when it is None.
 
-
-def _write_output(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _resolve_params(scenario: Scenario, args: argparse.Namespace) -> dict[str, float] | None:
-    """Overlay user-supplied flags on the scenario defaults.
-
-    Returns None (after printing a message) if a flag was given that the
-    scenario does not take.
+    A regular file, new or existing, is written through a sibling opened
+    before the first line is made and renamed onto it, with its old
+    permissions, after the last. Anything else, such as a device or a pipe,
+    is opened first and, like stdout, gets the whole text at the end.
     """
-    params = dict(scenario.defaults)
-    for name in SCENARIO_PARAMS:
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name not in scenario.defaults:
-            print(f"error: scenario '{scenario.name}' does not take --{name}", file=sys.stderr)
-            return None
-        params[name] = value
+    if out is None:
+        sys.stdout.write("\n".join(lines) + "\n")
+        return
+    if not out:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    existing = os.path.isfile(out)
+    if not existing and os.path.exists(out):  # opening a directory fails here
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\n".join(lines) + "\n")
+        return
+    if existing and not os.access(out, os.W_OK):  # a rename asks only the directory
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
+    partial = f"{out}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            if existing:
+                shutil.copymode(out, partial)
+            for line in lines:
+                handle.write(line + "\n")
+        os.replace(partial, out)
+    except OSError as exc:  # name the user's path, not the sibling
+        raise OSError(exc.errno, exc.strerror, out) from None
+    finally:  # after any failure; after a rename there is nothing left to remove
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+
+
+def _resolve_params(scenario: Scenario, args: argparse.Namespace) -> dict[str, float]:
+    """The scenario's defaults, overlaid with the scenario flags that were given."""
+    params = scenario.defaults
+    for declaring in SCENARIOS.values():
+        for name in declaring.params:
+            value = getattr(args, name)
+            if value is None:
+                continue
+            if name not in params:
+                raise ValueError(f"scenario '{scenario.name}' does not take --{name}")
+            params[name] = value
     return params
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = SCENARIOS[args.scenario]
-    dt = scenario.dt if args.dt is None else args.dt
-    steps = scenario.steps if args.steps is None else args.steps
-    if dt <= 0:
-        return _usage_error("--dt must be positive")
-    if steps < 0:
-        return _usage_error("--steps must be >= 0")
-    params = _resolve_params(scenario, args)
-    if params is None:
-        return EXIT_USAGE
-
-    run = scenario.build(params)
-    if args.method == "euler-cromer":
-        step: Callable = run.cromer_step
-    else:
-        evolve = euler_method if args.method == "euler" else rk4_method
-
-        def step(dt_: float, state):
-            return evolve(run.equation, dt_, state)
-
-    state = run.initial
-    lines = [run.header]
-    for number in range(steps + 1):
-        if number:
-            state = step(dt, state)
+def _trajectory_lines(run: ScenarioRun, states: Iterable[State]) -> Iterator[str]:
+    """The CSV header, then one row per state; raises DomainError at the first non-finite state."""
+    yield run.header
+    for number, state in enumerate(states):
         line = ",".join(format_scalar(v) for v in run.row(state))
         # The repr of a finite float never contains an "n", and "inf" and
         # "nan" do: one substring test per row stops a run that blew up.
         if "n" in line:
             raise DomainError(f"state is not finite at step {number}, t = {format_scalar(state[0])}")
-        lines.append(line)
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+        yield line
+
+
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    scenario = SCENARIOS[args.scenario]
+    dt = scenario.dt if args.dt is None else args.dt
+    steps = scenario.steps if args.steps is None else args.steps
+    if dt <= 0:
+        raise ValueError("--dt must be positive")
+    if steps < 0:
+        raise ValueError("--steps must be >= 0")
+    run = scenario.build(_resolve_params(scenario, args))
+    method = METHODS[args.method]
+    # Euler-Cromer steps the acceleration itself; the others its first-order form.
+    equation = run.accel if method is euler_cromer_step else run.equation
+    states = solution_stream(method, dt, InitialValueProblem(equation, run.initial))
+    _write_lines(args.out, _trajectory_lines(run, islice(states, steps + 1)))
 
 
 def _make_field(args: argparse.Namespace) -> VectorField:
@@ -186,14 +201,15 @@ def _make_field(args: argparse.Namespace) -> VectorField:
     )
 
 
-def _cmd_field(args: argparse.Namespace) -> int:
+def _cmd_field(args: argparse.Namespace) -> None:
     try:
         point = Position(*parse_triple(args.at))
     except ValueError as exc:
-        return _usage_error(f"bad --at value: {exc}")
-    value = _make_field(args)(point)
-    print(",".join(f"{component:.9g}" for component in value))
-    return EXIT_OK
+        raise ValueError(f"bad --at value: {exc}") from None
+    line = ",".join(f"{component:.9g}" for component in _make_field(args)(point))
+    if "n" in line:  # as in _trajectory_lines: only inf and nan contain an "n"
+        raise DomainError("field is not finite")
+    print(line)
 
 
 def _axis_values(lo: float, hi: float, count: int) -> list[float]:
@@ -202,29 +218,26 @@ def _axis_values(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
-def _cmd_field_grid(args: argparse.Namespace) -> int:
-    counts = (args.x_count, args.y_count, args.z_count)
-    if any(c < 1 for c in counts):
-        return _usage_error("grid counts must be >= 1")
-    field = _make_field(args)
-    xs = _axis_values(args.x_min, args.x_max, args.x_count)
-    ys = _axis_values(args.y_min, args.y_max, args.y_count)
-    zs = _axis_values(args.z_min, args.z_max, args.z_count)
-    lines = ["x,y,z,Fx,Fy,Fz"]
-    for x in xs:
-        for y in ys:
-            for z in zs:  # z varies fastest
+def _grid_lines(field: VectorField, args: argparse.Namespace) -> Iterator[str]:
+    """The CSV header, then one row per grid point, z varying fastest."""
+    yield "x,y,z,Fx,Fy,Fz"
+    for x in _axis_values(args.x_min, args.x_max, args.x_count):
+        for y in _axis_values(args.y_min, args.y_max, args.y_count):
+            for z in _axis_values(args.z_min, args.z_max, args.z_count):
+                point = ",".join(format_scalar(c) for c in (x, y, z))
                 try:
-                    value = field(Position(x, y, z))
+                    values = ",".join(format_scalar(c) for c in field(Position(x, y, z)))
+                    if "n" in values:
+                        raise DomainError("field is not finite")
                 except DomainError as exc:
-                    raise DomainError(
-                        f"{exc} at {format_scalar(x)},{format_scalar(y)},{format_scalar(z)}"
-                    ) from exc
-                lines.append(
-                    ",".join(format_scalar(c) for c in (x, y, z, *value))
-                )
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+                    raise DomainError(f"{exc} at {point}") from exc
+                yield f"{point},{values}"
+
+
+def _cmd_field_grid(args: argparse.Namespace) -> None:
+    if min(args.x_count, args.y_count, args.z_count) < 1:
+        raise ValueError("grid counts must be >= 1")
+    _write_lines(args.out, _grid_lines(_make_field(args), args))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -235,16 +248,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
-    except DomainError as exc:
+        args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:  # bad parameter values rejected by the builders
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # --out names a file that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

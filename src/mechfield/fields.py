@@ -149,8 +149,9 @@ def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> No
     """Raise :class:`DomainError` within ON_SOURCE_DISTANCE of any sample or chord."""
     px, py, pz = p
     for sx, sy, sz, _, ax, ay, az, cx, cy, cz in zip(*columns):
-        along = (px - ax) * cx + (py - ay) * cy + (pz - az) * cz  # positive only on a nonzero chord
-        f = min(along / (cx * cx + cy * cy + cz * cz), 1.0) if along > 0.0 else 0.0
+        along = (px - ax) * cx + (py - ay) * cy + (pz - az) * cz
+        squared = cx * cx + cy * cy + cz * cz  # 0.0 for a chord shorter than about 1e-162 m
+        f = min(along / squared, 1.0) if along > 0.0 and squared > 0.0 else 0.0
         nearest = (ax + f * cx, ay + f * cy, az + f * cz)
         if min(math.dist(p, (sx, sy, sz)), math.dist(p, nearest)) < ON_SOURCE_DISTANCE:
             raise DomainError("field point on source")

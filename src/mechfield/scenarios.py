@@ -1,11 +1,13 @@
 """Named, runnable simulation scenarios.
 
 Each scenario bundles what the CLI needs: default timestep and step
-count, parameter defaults, and a builder that turns resolved parameters
-into a concrete run. A run holds the initial state in the flat layout of
-:mod:`mechfield.solver`, ``(t, q..., v...)``, its differential equation
-for the generic methods, its Euler-Cromer stepper, and the CSV header and
-row for its trajectory.
+count, its parameters, each declared once with its default and a help
+text naming its unit (the CLI makes its ``simulate`` flags from these),
+and a builder that turns resolved parameters into a concrete run. A run
+holds the initial state in the flat layout of :mod:`mechfield.solver`,
+``(t, q..., v...)``, its acceleration function, and the CSV header and
+row for its trajectory; the differential equation for the generic
+methods and the Euler-Cromer stepper are derived from the acceleration.
 """
 
 from __future__ import annotations
@@ -33,53 +35,57 @@ from .solver import (
 )
 from .vectors import X_HAT, ZERO
 
-__all__ = ["Scenario", "ScenarioRun", "SCENARIOS"]
+__all__ = ["Param", "Scenario", "ScenarioRun", "SCENARIOS"]
 
 PARTICLE_HEADER = "t,x,y,z,vx,vy,vz"
 ANGULAR_HEADER = "t,theta,omega"
 
 
 class ScenarioRun(NamedTuple):
-    """A scenario instantiated with concrete parameter values."""
+    """A scenario instantiated with concrete parameter values.
+
+    With one body, a particle or the pendulum, the state already is the
+    CSV row, so the default ``row`` is the identity.
+    """
 
     initial: State
-    equation: DifferentialEquation
-    cromer_step: Callable[[float, State], State]
-    header: str
-    row: Callable[[State], Sequence[float]]
+    accel: AccelerationFunction
+    header: str = PARTICLE_HEADER
+    row: Callable[[State], Sequence[float]] = tuple
+
+    @property
+    def equation(self) -> DifferentialEquation:
+        """The first-order form, for :func:`euler_method` and :func:`rk4_method`."""
+        return second_order_equation(self.accel)
+
+    @property
+    def cromer_step(self) -> Callable[[float, State], State]:
+        """One Euler-Cromer step of this run's system, ``step(dt, state)``."""
+        return partial(euler_cromer_step, self.accel)
+
+
+class Param(NamedTuple):
+    """A scenario parameter's default and its help text, unit included."""
+
+    default: float
+    help: str
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Registry entry: defaults plus a builder from parameters to a run."""
+    """Registry entry: parameter declarations plus a builder from parameters to a run."""
 
     name: str
     description: str
     dt: float
     steps: int
-    defaults: Mapping[str, float]
+    params: Mapping[str, Param]
     build: Callable[[Mapping[str, float]], ScenarioRun]
 
-
-def _run(
-    accel: AccelerationFunction,
-    q: Sequence[float],
-    v: Sequence[float],
-    header: str = PARTICLE_HEADER,
-    row: Callable[[State], Sequence[float]] = tuple,
-) -> ScenarioRun:
-    """The run that starts at t = 0 from coordinates q and velocities v.
-
-    With one body, a particle or the pendulum, the state already is the
-    CSV row, so ``row`` is the identity.
-    """
-    return ScenarioRun(
-        initial=(0.0, *q, *v),
-        equation=second_order_equation(accel),
-        cromer_step=partial(euler_cromer_step, accel),
-        header=header,
-        row=row,
-    )
+    @property
+    def defaults(self) -> dict[str, float]:
+        """Each parameter's default, by name: a fresh dict on every access."""
+        return {name: param.default for name, param in self.params.items()}
 
 
 def _system_header(count: int) -> str:
@@ -100,11 +106,12 @@ def _system_row(state: State) -> tuple[float, ...]:
 
 
 def _build_sho(params: Mapping[str, float]) -> ScenarioRun:
-    return _run(damped_driven_osc(0.0, 0.0, 0.0), X_HAT, ZERO)
+    return ScenarioRun((0.0, *X_HAT, *ZERO), damped_driven_osc(0.0, 0.0, 0.0))
 
 
 def _build_ddho(params: Mapping[str, float]) -> ScenarioRun:
-    return _run(damped_driven_osc(params["beta"], params["amp"], params["omega"]), X_HAT, ZERO)
+    accel = damped_driven_osc(params["beta"], params["amp"], params["omega"])
+    return ScenarioRun((0.0, *X_HAT, *ZERO), accel)
 
 
 ORBIT_RADIUS = 7e6  # m
@@ -112,16 +119,12 @@ ORBIT_RADIUS = 7e6  # m
 
 def _build_satellite(params: Mapping[str, float]) -> ScenarioRun:
     speed = math.sqrt(GRAVITATIONAL_CONSTANT * EARTH_MASS / ORBIT_RADIUS)
-    return _run(satellite_accel, (ORBIT_RADIUS, 0.0, 0.0), (0.0, speed, 0.0))
+    return ScenarioRun((0.0, ORBIT_RADIUS, 0.0, 0.0, 0.0, speed, 0.0), satellite_accel)
 
 
 def _build_pendulum(params: Mapping[str, float]) -> ScenarioRun:
-    return _run(
-        pendulum_accel(params["g"], params["length"]),
-        (params["theta0"],),
-        (params["omega0"],),
-        ANGULAR_HEADER,
-    )
+    accel = pendulum_accel(params["g"], params["length"])
+    return ScenarioRun((0.0, params["theta0"], params["omega0"]), accel, ANGULAR_HEADER)
 
 
 # Illustrative Sun-Earth-Moon setup: real masses, circular-orbit seed
@@ -141,7 +144,7 @@ def _build_three_body(params: Mapping[str, float]) -> ScenarioRun:
     )
     q = (0.0, 0.0, 0.0, ASTRONOMICAL_UNIT, 0.0, 0.0, ASTRONOMICAL_UNIT + LUNAR_DISTANCE, 0.0, 0.0)
     v = (0.0, 0.0, 0.0, 0.0, earth_speed, 0.0, 0.0, moon_speed, 0.0)
-    return _run(gravity_accel(masses), q, v, _system_header(3), _system_row)
+    return ScenarioRun((0.0, *q, *v), gravity_accel(masses), _system_header(3), _system_row)
 
 
 def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
@@ -155,7 +158,7 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
     for i in range(count):
         q += ((i + 1) * spacing, amplitude * math.sin((i + 1) * math.pi / (count + 1)), 0.0)
     accel = spring_chain_accel(params["k"], spacing, params["mass"], fixed_ends=True)
-    return _run(accel, q, (0.0,) * len(q), _system_header(count), _system_row)
+    return ScenarioRun((0.0, *q, *[0.0] * len(q)), accel, _system_header(count), _system_row)
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -166,7 +169,7 @@ SCENARIOS: dict[str, Scenario] = {
             description="simple harmonic oscillator, unit mass and spring constant, released from x = 1 m",
             dt=0.01,
             steps=1000,
-            defaults={},
+            params={},
             build=_build_sho,
         ),
         Scenario(
@@ -174,7 +177,11 @@ SCENARIOS: dict[str, Scenario] = {
             description="damped driven harmonic oscillator released from x = 1 m",
             dt=0.01,
             steps=1000,
-            defaults={"beta": 0.0, "amp": 1.0, "omega": 0.7},
+            params={
+                "beta": Param(0.0, "damping constant, kg/s"),
+                "amp": Param(1.0, "drive amplitude, N"),
+                "omega": Param(0.7, "drive angular frequency, rad/s"),
+            },
             build=_build_ddho,
         ),
         Scenario(
@@ -182,7 +189,7 @@ SCENARIOS: dict[str, Scenario] = {
             description="satellite on a circular orbit of radius 7e6 m about a fixed Earth",
             dt=1.0,
             steps=5828,
-            defaults={},
+            params={},
             build=_build_satellite,
         ),
         Scenario(
@@ -190,7 +197,12 @@ SCENARIOS: dict[str, Scenario] = {
             description="pendulum about a fixed pivot, angle and angular velocity state",
             dt=0.01,
             steps=1000,
-            defaults={"g": 9.8, "length": 1.0, "theta0": 0.2, "omega0": 0.0},
+            params={
+                "g": Param(9.8, "gravitational acceleration, m/s^2"),
+                "length": Param(1.0, "arm length, m"),
+                "theta0": Param(0.2, "initial angle, rad"),
+                "omega0": Param(0.0, "initial angular velocity, rad/s"),
+            },
             build=_build_pendulum,
         ),
         Scenario(
@@ -198,7 +210,7 @@ SCENARIOS: dict[str, Scenario] = {
             description="Sun, Earth, and Moon under mutual gravitation (illustrative seed values)",
             dt=3600.0,
             steps=8766,
-            defaults={},
+            params={},
             build=_build_three_body,
         ),
         Scenario(
@@ -206,7 +218,13 @@ SCENARIOS: dict[str, Scenario] = {
             description="point masses joined by springs between fixed ends, plucked transversely",
             dt=0.1,
             steps=2000,
-            defaults={"particles": 100, "k": 1.0, "spacing": 1.0, "mass": 1.0, "amplitude": 0.1},
+            params={
+                "particles": Param(100, "particle count"),
+                "k": Param(1.0, "spring constant, N/m"),
+                "spacing": Param(1.0, "lattice spacing, m"),
+                "mass": Param(1.0, "particle mass, kg"),
+                "amplitude": Param(0.1, "pluck amplitude, m"),
+            },
             build=_build_spring_chain,
         ),
     )

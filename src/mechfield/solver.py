@@ -13,7 +13,9 @@ Evolution methods (:func:`euler_method`, :func:`rk4_method`) are written
 once, component by component, so they run on any flat tuple, including
 first-order ones such as ``(y,)`` for y' = y. :func:`euler_cromer_step`
 needs to know which half of the state is the velocity, so it takes the
-acceleration function instead.
+acceleration function instead. A derivative or an acceleration with the
+wrong number of components raises ``ValueError`` instead of being cut
+short to fit.
 
 The independent variable is always time, in seconds.
 """
@@ -81,13 +83,19 @@ def euler_cromer_step(accel: AccelerationFunction, dt: float, y: State) -> State
     t = y[0]
     q = y[1:n + 1]
     v = y[n + 1:]
-    v = [b + a * dt for b, a in zip(v, accel(t, q, v))]
+    a = accel(t, q, v)
+    if len(a) != n:
+        raise ValueError(f"acceleration has {len(a)} components for {n} coordinates")
+    v = [b + c * dt for b, c in zip(v, a)]
     return (t + dt, *[x + b * dt for x, b in zip(q, v)], *v)
 
 
 def euler_method(equation: DifferentialEquation, dt: float, y: State) -> State:
     """First-order evolution: move each component by its rate times dt."""
-    return tuple([a + b * dt for a, b in zip(y, equation(y))])
+    rate = equation(y)
+    if len(rate) != len(y):  # zip would silently truncate the state
+        raise ValueError(f"derivative has {len(rate)} components for a state of {len(y)}")
+    return tuple([a + b * dt for a, b in zip(y, rate)])
 
 
 def rk4_method(equation: DifferentialEquation, dt: float, y: State) -> State:
@@ -98,6 +106,8 @@ def rk4_method(equation: DifferentialEquation, dt: float, y: State) -> State:
     """
     h = dt / 2.0
     k1 = equation(y)
+    if len(k1) != len(y):
+        raise ValueError(f"derivative has {len(k1)} components for a state of {len(y)}")
     k2 = equation(tuple([a + b * h for a, b in zip(y, k1)]))
     k3 = equation(tuple([a + b * h for a, b in zip(y, k2)]))
     k4 = equation(tuple([a + b * dt for a, b in zip(y, k3)]))

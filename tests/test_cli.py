@@ -1,15 +1,20 @@
-"""CLI contract tests: CSV schemas, determinism, exit codes."""
+"""CLI contract tests: CSV schemas, determinism, exit codes, all-or-nothing output."""
 
+import dataclasses
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from mechfield import cli
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from mechfield.fields import circular_loop, magnetic_field_of_line_current
+from mechfield.scenarios import SCENARIOS
 from mechfield.vectors import Position
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -121,6 +126,180 @@ def test_unwritable_out_is_io_error(tmp_path, capsys, argv):
     assert not path.exists()
 
 
+# --- all-or-nothing output ----------------------------------------------------
+
+
+def counting_scenario(monkeypatch, name: str) -> list:
+    """Replace a scenario by one whose acceleration records each call."""
+    calls = []
+    scenario = SCENARIOS[name]
+
+    def build(params):
+        run = scenario.build(params)
+
+        def accel(t, q, v):
+            calls.append(t)
+            return run.accel(t, q, v)
+
+        return run._replace(accel=accel)
+
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(scenario, build=build))
+    return calls
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+@pytest.mark.parametrize("target", ["missing/x.csv", "directory"])
+def test_unwritable_out_fails_before_any_step(tmp_path, capsys, monkeypatch, method, target):
+    calls = counting_scenario(monkeypatch, "ddho")
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    argv = ("simulate", "ddho", "--method", method, "--steps", "3", "--out", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_IO
+    assert calls == []
+    assert str(path) in err and ".partial" not in err
+    assert main(list(argv[:-2])) == EXIT_OK and calls  # the same run does step
+    assert list(tmp_path.rglob("*.partial")) == []
+
+
+def test_empty_out_fails_before_any_step(tmp_path, capsys, monkeypatch):
+    calls = counting_scenario(monkeypatch, "ddho")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "ddho", "--steps", "3", "--out", "")
+    assert code == EXIT_IO
+    assert calls == []
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_fails_before_any_field_evaluation(tmp_path, capsys, monkeypatch):
+    points = []
+
+    def counting_field(*args):
+        field = magnetic_field_of_line_current(*args)
+        return lambda point: points.append(point) or field(point)
+
+    monkeypatch.setattr(cli, "magnetic_field_of_line_current", counting_field)
+    path = tmp_path / "missing" / "x.csv"
+    code, _, _ = run_cli(capsys, "field-grid", "b-loop", "--intervals", "10", "--out", str(path))
+    assert code == EXIT_IO
+    assert points == []
+
+
+def test_failed_run_leaves_existing_out_unchanged(tmp_path, capsys):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"earlier bytes\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "sho", "--method", "euler", "--dt", "10", "--steps", "400", "--out", str(path)
+    )
+    assert code == EXIT_DOMAIN
+    assert "not finite at step 308, t = 3080" in err
+    assert out == ""
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
+def test_failed_grid_leaves_existing_out_unchanged(tmp_path, capsys):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"earlier bytes\n")
+    code, _, err = run_cli(
+        capsys, "field-grid", "e-line", "--intervals", "999",
+        "--z-min", "-0.5", "--z-max", "0", "--z-count", "3", "--out", str(path),
+    )
+    assert code == EXIT_DOMAIN
+    assert "field point on source" in err
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "field-grid"])
+def test_out_that_is_a_directory_is_io_error(tmp_path, capsys, command):
+    target = tmp_path / "dir"
+    target.mkdir()
+    argv = ("simulate", "sho", "--steps", "2") if command == "simulate" else ("field-grid", "b-loop")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert list(tmp_path.rglob("*.partial")) == []
+
+
+def test_successful_run_replaces_existing_out(tmp_path, capsys):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"earlier bytes\n" * 100)
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(path))[0] == EXIT_OK
+    assert path.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
+    assert len(path.read_text().splitlines()) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
+@pytest.mark.parametrize("argv", [("simulate", "sho", "--steps", "2"), ("field-grid", "b-loop", "--intervals", "10")])
+def test_out_to_the_null_device_writes_through_it(capsys, argv):
+    assert run_cli(capsys, *argv, "--out", os.devnull) == (EXIT_OK, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def read_fifo_while(path: Path, action) -> tuple[object, bytes]:
+    """Run ``action`` while a thread reads the named pipe at ``path`` to its end."""
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+    reader.start()
+    result = action()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    return result, received[0]
+
+
+def test_out_to_a_named_pipe_writes_through_it(tmp_path, capsys):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    code, data = read_fifo_while(path, lambda: main(["simulate", "sho", "--steps", "2", "--out", str(path)]))
+    assert code == EXIT_OK
+    assert data.decode().splitlines()[0] == "t,x,y,z,vx,vy,vz" and len(data.decode().splitlines()) == 4
+    assert stat.S_ISFIFO(os.stat(path).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_failed_run_to_a_named_pipe_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    argv = ["simulate", "sho", "--method", "euler", "--dt", "10", "--steps", "400", "--out", str(path)]
+    code, data = read_fifo_while(path, lambda: main(argv))
+    assert code == EXIT_DOMAIN
+    assert data == b""
+    assert "not finite at step 308, t = 3080" in capsys.readouterr().err
+
+
+def test_successful_run_keeps_the_permissions_of_existing_out(tmp_path, capsys):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"earlier bytes\n")
+    path.chmod(0o600)
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(path))[0] == EXIT_OK
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
+
+
+def test_read_only_out_is_refused_exactly_when_it_cannot_be_opened_for_writing(tmp_path, capsys, monkeypatch):
+    calls = counting_scenario(monkeypatch, "sho")
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"earlier bytes\n")
+    path.chmod(0o444)
+    try:  # the system's answer for this user: the superuser may write a read-only file
+        path.open("a").close()
+        writable = True
+    except PermissionError:
+        writable = False
+    code, out, err = run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o444
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+    if writable:
+        assert code == EXIT_OK and path.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
+    else:
+        assert code == EXIT_IO and str(path) in err and calls == []
+        assert path.read_bytes() == b"earlier bytes\n"
+
+
 def test_simulate_unknown_scenario_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "warp-drive")
     assert code == EXIT_USAGE
@@ -220,6 +399,23 @@ def test_field_on_source_is_domain_error(capsys):
         assert "field point on source" in err
 
 
+def test_field_overflow_is_domain_error(capsys):
+    # 1e300 C/m at 1 um overflows the kernel: inf and nan, not a number to print
+    code, out, err = run_cli(capsys, "field", "e-line", "--lambda", "1e300", "--at", "1e-6,0,0")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):
+    # the one chord is 1e-300 m long: its squared length underflows to 0.0
+    code, out, err = run_cli(capsys, "field", "e-line", "--length", "1e-300", "--intervals", "1",
+                             "--at", "0,0,1e-13")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "field point on source" in err
+
+
 @pytest.mark.parametrize("command", ["field", "field-grid"])
 def test_zero_intervals_is_usage_error(capsys, command):
     argv = [command, "b-loop", "--intervals", "0"] + (["--at", "0,0,1"] if command == "field" else [])
@@ -307,6 +503,17 @@ def test_grid_on_source_names_offending_point(capsys):
     assert "0,0,0" in err
 
 
+def test_grid_overflow_names_offending_point(capsys):
+    # overflowing at x = 1e-6, finite at x = 1: the grid stops at its first point
+    code, out, err = run_cli(
+        capsys, "field-grid", "e-line", "--lambda", "1e298",
+        "--x-min", "1e-6", "--x-max", "1", "--x-count", "2",
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "not finite at 1e-06,0,0" in err
+
+
 def test_grid_writes_deterministic_file(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -353,6 +560,35 @@ def test_registry_ddho_defaults_match_documented_configuration():
     ddho = SCENARIOS["ddho"]
     assert dict(ddho.defaults) == {"beta": 0.0, "amp": 1.0, "omega": 0.7}
     assert ddho.dt == 0.01
+
+
+DECLARED = [(name, param) for name, scenario in SCENARIOS.items() for param in scenario.params]
+
+
+def test_declared_parameter_names_are_unique_across_scenarios():
+    # each name is one simulate flag; argparse refuses to build a parser with a flag added twice
+    names = [param for _, param in DECLARED]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize(("owner", "param"), DECLARED)
+def test_every_declared_parameter_is_a_flag_of_its_declared_type(capsys, owner, param):
+    default = SCENARIOS[owner].params[param].default
+    code, out, _ = run_cli(capsys, "simulate", owner, f"--{param}", str(default), "--steps", "0")
+    assert code == EXIT_OK
+    assert out == run_cli(capsys, "simulate", owner, "--steps", "0")[1]
+    if isinstance(default, int):
+        code, _, err = run_cli(capsys, "simulate", owner, f"--{param}", "1.5")
+        assert code == EXIT_USAGE and "invalid int value" in err
+    else:
+        code, _, err = run_cli(capsys, "simulate", owner, f"--{param}", "inf")
+        assert code == EXIT_USAGE and "must be a finite number" in err
+    for other in SCENARIOS:
+        if other != owner:
+            code, out, err = run_cli(capsys, "simulate", other, f"--{param}", str(default), "--steps", "0")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert f"scenario '{other}' does not take --{param}" in err
 
 
 # --- module entry point -----------------------------------------------------------

@@ -109,6 +109,29 @@ def test_particle_equation_chains_satellite_acceleration():
     assert d[4:] == satellite_accel(s[0], s[1:4], s[4:])
 
 
+# --- derivative length ------------------------------------------------------
+
+
+@pytest.mark.parametrize("wrong", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+def test_euler_cromer_refuses_acceleration_of_wrong_length(wrong):
+    with pytest.raises(ValueError, match="acceleration has"):
+        euler_cromer_step(lambda t, q, v: wrong, 0.1, (0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("method", [euler_method, rk4_method])
+@pytest.mark.parametrize("wrong", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+def test_generic_methods_refuse_acceleration_of_wrong_length(method, wrong):
+    equation = second_order_equation(lambda t, q, v: wrong)
+    with pytest.raises(ValueError, match="derivative has"):
+        method(equation, 0.1, (0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("method", [euler_method, rk4_method])
+def test_generic_methods_refuse_derivative_of_wrong_length(method):
+    with pytest.raises(ValueError, match="derivative has 1 components for a state of 2"):
+        method(lambda y: y[:1], 0.1, (1.0, 2.0))
+
+
 # --- generic evolution methods ----------------------------------------------
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import math
 import os
 import shutil
@@ -56,13 +57,17 @@ EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OSError, EX
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for every float flag: nan and inf are usage errors."""
-    value = float(text)
+    """argparse type for every float flag: text, nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
+@functools.cache  # built once per process; every parse makes its own Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mechfield",
@@ -85,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_field_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("kind", choices=("e-line", "b-loop"), help="field source kind")
-        p.add_argument("--lambda", dest="lambda_", type=_finite_float, default=1e-9,
+        p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=_finite_float, default=1e-9,
                        help="e-line: linear charge density, C/m (default 1e-9)")
         p.add_argument("--length", type=_finite_float, default=1.0,
                        help="e-line: segment length, m (default 1)")
@@ -241,12 +246,10 @@ def _cmd_field_grid(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         args.handler(args)
     except (ValueError, OSError) as exc:

@@ -344,13 +344,34 @@ def test_simulate_rejects_bad_parameter_values(capsys):
         ("field", "e-line", "--lambda", "inf", "--at", "1,0,0"),
         ("field-grid", "b-loop", "--x-min", "nan"),
         ("field-grid", "e-line", "--z-max", "1e400"),
+        ("simulate", "sho", "--dt", "x"),
     ],
 )
 def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "must be a finite number" in err
+    if "x" in argv:  # text that is not a number at all
+        assert "argument --dt: invalid float value: 'x'" in err
+        assert "_finite_float" not in err
+    else:
+        assert "must be a finite number" in err
+
+
+HELP_ARGV = [(command, "--help") for command in ("simulate", "field", "field-grid")]
+
+
+def test_calls_in_one_process_carry_no_flags_over(capsys):
+    assert run_cli(capsys, "simulate", "ddho", "--beta", "0.25", "--steps", "2")[0] == EXIT_OK
+    sho = run_cli(capsys, "simulate", "sho", "--steps", "2")
+    assert sho[0] == EXIT_OK  # a --beta left over from the ddho call would make this exit 2
+    code, out, err = run_cli(capsys, "simulate", "sho", "--dt", "x")
+    assert (code, out) == (EXIT_USAGE, "") and "invalid float value: 'x'" in err
+    helps = [run_cli(capsys, *argv) for argv in HELP_ARGV]
+    assert [code for code, _, _ in helps] == [EXIT_OK] * 3
+    assert "--lambda LAMBDA" in helps[1][1] and "LAMBDA_" not in helps[1][1] + helps[2][1]
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2") == sho
+    assert [run_cli(capsys, *argv) for argv in HELP_ARGV] == helps
 
 
 # --- field ---------------------------------------------------------------------

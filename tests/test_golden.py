@@ -1,10 +1,12 @@
 """Golden gate: SHA-256 of the CLI's output bytes for fixed invocations.
 
 Every scenario x method pair runs at reduced --steps (spring-chain also
-at a reduced particle count, to keep this in the quick suite), plus one
-``field`` and one ``field-grid`` per source kind. A refactor must leave
-every hash unchanged; a deliberate output change re-baselines them in a
-change of its own.
+at a reduced particle count, to keep this in the quick suite). Each
+source kind has ``field`` at the default 1000 intervals, at 1 (the
+fewest allowed) and at 4999 (the top of the benchmark's field-points
+range), plus one ``field-grid``. A refactor must leave every hash
+unchanged; a deliberate output change re-baselines them in a change of
+its own.
 """
 
 import hashlib
@@ -46,6 +48,12 @@ SIMULATE_GOLDEN = {
 FIELD_ARGS = {
     "field-b-loop": ("field", "b-loop", "--radius", "0.7", "--at", "0.3,0.2,0.5"),
     "field-e-line": ("field", "e-line", "--length", "2", "--at", "0.5,0.1,-0.2"),
+    "field-b-loop-intervals-1": ("field", "b-loop", "--radius", "0.7", "--intervals", "1", "--at", "0.3,0.2,0.5"),
+    "field-b-loop-intervals-4999": ("field", "b-loop", "--radius", "0.7", "--intervals", "4999",
+                                    "--at", "0.3,0.2,0.5"),
+    "field-e-line-intervals-1": ("field", "e-line", "--length", "2", "--intervals", "1", "--at", "0.5,0.1,-0.2"),
+    "field-e-line-intervals-4999": ("field", "e-line", "--length", "2", "--intervals", "4999",
+                                    "--at", "0.5,0.1,-0.2"),
     "field-grid-b-loop": ("field-grid", "b-loop", "--intervals", "200", "--x-max", "0.5",
                           "--x-count", "3", "--z-min", "-1", "--z-max", "1", "--z-count", "4"),
     "field-grid-e-line": ("field-grid", "e-line", "--intervals", "300", "--x-min", "0.2",
@@ -55,6 +63,10 @@ FIELD_ARGS = {
 FIELD_GOLDEN = {
     "field-b-loop": "8bf5b159ea604c45497703166a5aa997bc0e621872a2184e8c92ea35760c11f9",
     "field-e-line": "5ca7ca04dc4bcfe0edd7ba7140a96455e60316269ef277d04ad0c71e2751cccc",
+    "field-b-loop-intervals-1": "6c6e1bceb4dd36678eba330284e001566b2b2c0262212e284a9bc8ea2fe4dded",
+    "field-b-loop-intervals-4999": "a9a3105a74466b412ecbb8d7bfe365d048e07e0a632642fae269696c0216f3e9",
+    "field-e-line-intervals-1": "8b230681498cdf194b71c72ac7b2f0d312ec088c52a4286ab8308210a6a160c0",
+    "field-e-line-intervals-4999": "736c6a3231ac72c040a999dd010c4064c54fa34a46edd4c64470cff60228ead5",
     "field-grid-b-loop": "dd56397260f948e3b2b671edebc637de05beb61023eb160835ef63475bba3d80",
     "field-grid-e-line": "64bf40f797834bfdbf1789c55725f1999e69f242d1b6b8dc3b1ddbfeff051760",
 }

@@ -1,6 +1,9 @@
 """Vector and position algebra tests."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -120,6 +123,28 @@ class TestPosition:
 
     def test_shift_back_to_origin(self):
         assert Position(1, 1, 1).shifted(Vec3(-1, -1, -1)) == Position(0, 0, 0)
+
+    def test_is_frozen(self):
+        p = Position(1.0, 2.0, 3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 5.0
+        assert p == Position(1.0, 2.0, 3.0)
+
+    def test_equal_points_compare_and_hash_equal(self):
+        assert Position(1.0, 2.0, 3.0) == Position(1.0, 2.0, 3.0)
+        assert hash(Position(1.0, 2.0, 3.0)) == hash(Position(1.0, 2.0, 3.0))
+        assert Position(1.0, 2.0, 3.0) != Position(1.0, 2.0, 4.0)
+
+    def test_repr(self):
+        assert repr(Position(1.0, 2.0, 3.0)) == "Position(x=1.0, y=2.0, z=3.0)"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        p = Position(1.5, -2.5, 3.25)
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.deepcopy(p) == p
+
+    def test_is_not_a_vector(self):
+        assert Position(1, 2, 3) != Vec3(1, 2, 3)
 
 
 class TestAlgebraProperties:

@@ -2,9 +2,10 @@
 
 Every scenario x method pair runs at reduced --steps (spring-chain also
 at a reduced particle count, to keep this in the quick suite). Each
-source kind has ``field`` at the default 1000 intervals, at 1 (the
-fewest allowed) and at 4999 (the top of the benchmark's field-points
-range), plus one ``field-grid``. A refactor must leave every hash
+source kind has ``field`` at the default 1000 intervals, at the fewest
+it allows (1 for the open segment, 3 for the closed loop) and at 4999
+(the top of the benchmark's field-points range), plus one
+``field-grid``. A refactor must leave every hash
 unchanged; a deliberate output change re-baselines them in a change of
 its own.
 """
@@ -48,7 +49,7 @@ SIMULATE_GOLDEN = {
 FIELD_ARGS = {
     "field-b-loop": ("field", "b-loop", "--radius", "0.7", "--at", "0.3,0.2,0.5"),
     "field-e-line": ("field", "e-line", "--length", "2", "--at", "0.5,0.1,-0.2"),
-    "field-b-loop-intervals-1": ("field", "b-loop", "--radius", "0.7", "--intervals", "1", "--at", "0.3,0.2,0.5"),
+    "field-b-loop-intervals-3": ("field", "b-loop", "--radius", "0.7", "--intervals", "3", "--at", "0.3,0.2,0.5"),
     "field-b-loop-intervals-4999": ("field", "b-loop", "--radius", "0.7", "--intervals", "4999",
                                     "--at", "0.3,0.2,0.5"),
     "field-e-line-intervals-1": ("field", "e-line", "--length", "2", "--intervals", "1", "--at", "0.5,0.1,-0.2"),
@@ -63,7 +64,7 @@ FIELD_ARGS = {
 FIELD_GOLDEN = {
     "field-b-loop": "8bf5b159ea604c45497703166a5aa997bc0e621872a2184e8c92ea35760c11f9",
     "field-e-line": "5ca7ca04dc4bcfe0edd7ba7140a96455e60316269ef277d04ad0c71e2751cccc",
-    "field-b-loop-intervals-1": "6c6e1bceb4dd36678eba330284e001566b2b2c0262212e284a9bc8ea2fe4dded",
+    "field-b-loop-intervals-3": "9416f39d16ac70f06ff20221dcb5fab675967a2360d1bf257b4d18db29dc68a7",
     "field-b-loop-intervals-4999": "a9a3105a74466b412ecbb8d7bfe365d048e07e0a632642fae269696c0216f3e9",
     "field-e-line-intervals-1": "8b230681498cdf194b71c72ac7b2f0d312ec088c52a4286ab8308210a6a160c0",
     "field-e-line-intervals-4999": "736c6a3231ac72c040a999dd010c4064c54fa34a46edd4c64470cff60228ead5",

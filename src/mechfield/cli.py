@@ -5,12 +5,14 @@
 ``field-grid``  sample a field over a rectangular grid to CSV
 
 ``simulate`` makes its scenario flags from the parameters each scenario
-declares and takes its states from :func:`solution_stream`; both CSV
-commands hand their lines to one all-or-nothing writer, and identical
-invocations give byte-identical output. Commands raise, and :func:`main`
-maps the error to the exit code: 2 for usage errors (``ValueError``), 3
-for domain errors (``DomainError``: a point on a field's source, a state
-or field value that is not finite), 4 when ``--out`` cannot be written.
+declares and takes its states from :func:`solution_stream`, which steps
+the scenario's differential equation with any one of ``METHODS``. Both
+CSV commands format rows with one function and hand their lines to one
+all-or-nothing writer, and identical invocations give byte-identical
+output. Commands raise, and :func:`main` maps the error to the exit code:
+2 for usage errors (``ValueError``), 3 for domain errors
+(``DomainError``: a point on a field's source, a state or field value
+that is not finite), 4 when ``--out`` cannot be written.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .scenarios import SCENARIOS, Scenario, ScenarioRun
 from .solver import (
     InitialValueProblem,
     State,
-    euler_cromer_step,
+    euler_cromer_method,
     euler_method,
     rk4_method,
     solution_stream,
@@ -50,7 +52,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_step, "rk4": rk4_method}
+METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_method, "rk4": rk4_method}
 
 # Exit code per error a command raises, first match wins (DomainError is a ValueError).
 EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OSError, EXIT_IO))
@@ -167,11 +169,20 @@ def _resolve_params(scenario: Scenario, args: argparse.Namespace) -> dict[str, f
     return params
 
 
+def _csv_row(values: Iterable[float]) -> str:
+    """The values joined by commas, each written as :func:`format_scalar` writes it.
+
+    Floats only: the repr of an int or a numpy scalar differs. One pass
+    over the joined text drops every integral value's ``.0``.
+    """
+    return (",".join(map(repr, values)) + ",").replace(".0,", ",")[:-1]
+
+
 def _trajectory_lines(run: ScenarioRun, states: Iterable[State]) -> Iterator[str]:
     """The CSV header, then one row per state; raises DomainError at the first non-finite state."""
     yield run.header
     for number, state in enumerate(states):
-        line = ",".join(format_scalar(v) for v in run.row(state))
+        line = _csv_row(run.row(state))
         # The repr of a finite float never contains an "n", and "inf" and
         # "nan" do: one substring test per row stops a run that blew up.
         if "n" in line:
@@ -188,10 +199,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     if steps < 0:
         raise ValueError("--steps must be >= 0")
     run = scenario.build(_resolve_params(scenario, args))
-    method = METHODS[args.method]
-    # Euler-Cromer steps the acceleration itself; the others its first-order form.
-    equation = run.accel if method is euler_cromer_step else run.equation
-    states = solution_stream(method, dt, InitialValueProblem(equation, run.initial))
+    states = solution_stream(METHODS[args.method], dt, InitialValueProblem(run.equation, run.initial))
     _write_lines(args.out, _trajectory_lines(run, islice(states, steps + 1)))
 
 
@@ -229,14 +237,13 @@ def _grid_lines(field: VectorField, args: argparse.Namespace) -> Iterator[str]:
     for x in _axis_values(args.x_min, args.x_max, args.x_count):
         for y in _axis_values(args.y_min, args.y_max, args.y_count):
             for z in _axis_values(args.z_min, args.z_max, args.z_count):
-                point = ",".join(format_scalar(c) for c in (x, y, z))
                 try:
-                    values = ",".join(format_scalar(c) for c in field(Position(x, y, z)))
-                    if "n" in values:
+                    line = _csv_row((x, y, z, *field(Position(x, y, z))))
+                    if "n" in line:  # as in _trajectory_lines
                         raise DomainError("field is not finite")
                 except DomainError as exc:
-                    raise DomainError(f"{exc} at {point}") from exc
-                yield f"{point},{values}"
+                    raise DomainError(f"{exc} at {_csv_row((x, y, z))}") from exc
+                yield line
 
 
 def _cmd_field_grid(args: argparse.Namespace) -> None:

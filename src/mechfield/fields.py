@@ -93,16 +93,27 @@ def line_segment(length: float) -> Curve:
 
 
 def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, Position]]:
-    """Cut a curve into equal parameter pieces: each one's chord start, midpoint sample and chord end."""
+    """Cut a curve into equal parameter pieces: each one's chord start, midpoint sample and chord end.
+
+    A closed curve, whose end comes back to its start, encloses no area in
+    fewer than 3 pieces: cut so, it raises ``ValueError`` after its last piece.
+    """
     if intervals < 1:
         raise ValueError(f"need at least one interval, got {intervals}")
     width = (curve.end - curve.start) / intervals
-    previous = curve.func(curve.start)
+    first = previous = curve.func(curve.start)
     for i in range(intervals):
         sample = curve.func(curve.start + (i + 0.5) * width)
         following = curve.func(curve.start + (i + 1) * width)
         yield previous, sample, following
         previous = following
+    if intervals < 3:
+        # Relative only: a loop's ends differ by about 2.4e-16 of its radius,
+        # and an absolute bound would call every open curve below it closed.
+        # hypot scales its arguments, so a tiny curve does not underflow to 0.
+        extent = max(math.hypot(*displacement(first, p)) for p in (sample, previous))
+        if math.hypot(*displacement(first, previous)) < 1e-9 * extent:
+            raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
 
 
 def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) -> V:

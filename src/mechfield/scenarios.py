@@ -6,8 +6,8 @@ text naming its unit (the CLI makes its ``simulate`` flags from these),
 and a builder that turns resolved parameters into a concrete run. A run
 holds the initial state in the flat layout of :mod:`mechfield.solver`,
 ``(t, q..., v...)``, its acceleration function, and the CSV header and
-row for its trajectory; the differential equation for the generic
-methods and the Euler-Cromer stepper are derived from the acceleration.
+row for its trajectory; the differential equation that every evolution
+method steps is derived from the acceleration.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .solver import (
     AccelerationFunction,
     DifferentialEquation,
     State,
-    euler_cromer_step,
+    euler_cromer_method,
     second_order_equation,
 )
 from .vectors import X_HAT, ZERO
@@ -55,13 +55,13 @@ class ScenarioRun(NamedTuple):
 
     @property
     def equation(self) -> DifferentialEquation:
-        """The first-order form, for :func:`euler_method` and :func:`rk4_method`."""
+        """The first-order form, which every evolution method steps."""
         return second_order_equation(self.accel)
 
     @property
     def cromer_step(self) -> Callable[[float, State], State]:
-        """One Euler-Cromer step of this run's system, ``step(dt, state)``."""
-        return partial(euler_cromer_step, self.accel)
+        """Euler-Cromer as ``step(dt, state)``: only ``perfbench/layers.py`` reads it, and it goes with that."""
+        return partial(euler_cromer_method, self.equation)
 
 
 class Param(NamedTuple):

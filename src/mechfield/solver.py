@@ -9,12 +9,12 @@ same layout ``(1.0, v1..vn, a1..an)``. An *acceleration function*
 ``accel(t, q, v)`` returns the n accelerations, and
 :func:`second_order_equation` turns one into a differential equation.
 
-Evolution methods (:func:`euler_method`, :func:`rk4_method`) are written
-once, component by component, so they run on any flat tuple, including
-first-order ones such as ``(y,)`` for y' = y. :func:`euler_cromer_step`
-needs to know which half of the state is the velocity, so it takes the
-acceleration function instead. A derivative or an acceleration with the
-wrong number of components raises ``ValueError`` instead of being cut
+Every evolution method is ``method(equation, dt, state) -> state``.
+:func:`euler_method` and :func:`rk4_method` are written once, component by
+component, so they run on any flat tuple, including first-order ones such
+as ``(y,)`` for y' = y. :func:`euler_cromer_method` reads the velocities'
+half of the rate, so it needs the second-order layout. A derivative with
+the wrong number of components raises ``ValueError`` instead of being cut
 short to fit.
 
 The independent variable is always time, in seconds.
@@ -31,7 +31,7 @@ __all__ = [
     "EvolutionMethod",
     "InitialValueProblem",
     "second_order_equation",
-    "euler_cromer_step",
+    "euler_cromer_method",
     "euler_method",
     "rk4_method",
     "solution_stream",
@@ -50,7 +50,7 @@ EvolutionMethod = Callable[[DifferentialEquation, float, State], State]
 
 
 class InitialValueProblem(NamedTuple):
-    """A differential equation paired with the state to start from."""
+    """A differential equation paired with the state to start from; any method solves it."""
 
     equation: DifferentialEquation
     initial: State
@@ -71,23 +71,22 @@ def second_order_equation(accel: AccelerationFunction) -> DifferentialEquation:
     return equation
 
 
-def euler_cromer_step(accel: AccelerationFunction, dt: float, y: State) -> State:
-    """One semi-implicit (Euler-Cromer) step.
+def euler_cromer_method(equation: DifferentialEquation, dt: float, y: State) -> State:
+    """One semi-implicit (Euler-Cromer) step of a state ``(t, q..., v...)``.
 
-    Velocities update first and the coordinates move with the *new*
-    velocities. This small change keeps the energy error of oscillatory
-    systems bounded instead of growing, which is why it is the default
-    stepper for the trajectory scenarios.
+    Velocities update first with the rate's accelerations, and the
+    coordinates move with the *new* velocities. This small change keeps
+    the energy error of oscillatory systems bounded instead of growing,
+    which is why it is the default method for the trajectory scenarios.
     """
+    if not len(y) % 2:  # the halves below would silently drop a component
+        raise ValueError(f"a state of {len(y)} components is not (t, q..., v...)")
+    rate = equation(y)
+    if len(rate) != len(y):
+        raise ValueError(f"derivative has {len(rate)} components for a state of {len(y)}")
     n = len(y) // 2
-    t = y[0]
-    q = y[1:n + 1]
-    v = y[n + 1:]
-    a = accel(t, q, v)
-    if len(a) != n:
-        raise ValueError(f"acceleration has {len(a)} components for {n} coordinates")
-    v = [b + c * dt for b, c in zip(v, a)]
-    return (t + dt, *[x + b * dt for x, b in zip(q, v)], *v)
+    v = [b + c * dt for b, c in zip(y[n + 1:], rate[n + 1:])]
+    return (y[0] + rate[0] * dt, *[x + b * dt for x, b in zip(y[1:n + 1], v)], *v)
 
 
 def euler_method(equation: DifferentialEquation, dt: float, y: State) -> State:
@@ -124,8 +123,6 @@ def solution_stream(method: EvolutionMethod, dt: float, problem: InitialValuePro
     Element 0 is the initial state; each later element applies the
     evolution method to the previous one, computed on demand. Every call
     builds a fresh stream, so consuming twice yields identical elements.
-    For Euler-Cromer, pass :func:`euler_cromer_step` as the method and the
-    acceleration function as the problem's equation.
     """
     equation, state = problem
     while True:

@@ -15,7 +15,7 @@ from mechfield import cli
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from mechfield.fields import circular_loop, magnetic_field_of_line_current
 from mechfield.scenarios import SCENARIOS
-from mechfield.vectors import Position
+from mechfield.vectors import Position, format_scalar
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -447,6 +447,16 @@ def test_zero_intervals_is_usage_error(capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("radius", ["0.7", "1e6"])
+@pytest.mark.parametrize("intervals", ["1", "2"])
+def test_closed_loop_in_fewer_than_three_pieces_is_usage_error(capsys, radius, intervals):
+    code, out, err = run_cli(capsys, "field", "b-loop", "--radius", radius, "--intervals", intervals,
+                             "--at", "0.3,0.2,0.5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: a closed curve needs at least 3 intervals, got {intervals}\n"
+
+
 def test_field_bad_at_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "field", "b-loop", "--at", "1,2")
     assert code == EXIT_USAGE
@@ -549,6 +559,20 @@ def test_grid_writes_deterministic_file(tmp_path, capsys):
 def test_grid_rejects_bad_count(capsys):
     code, _, _ = run_cli(capsys, "field-grid", "b-loop", "--x-count", "0")
     assert code == EXIT_USAGE
+
+
+# --- row formatting ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("row", [
+    (-0.0, 0.0, 1e16, 1e15, 1e-5, 5e-324, sys.float_info.max),
+    (-sys.float_info.max, 1.0, -2.0, 10.0, 100.0, 0.5, 1e22, 123456789.0),
+    (0.1, 1.05, 2.0e-5, 3.0, 1.0e-300, -1e300),
+    (7.0,), (0.25,), (),
+    tuple(float(i) * 0.5 - 150.0 for i in range(601)),
+])
+def test_csv_row_writes_each_value_as_format_scalar(row):
+    assert cli._csv_row(row) == ",".join(map(format_scalar, row))
 
 
 # --- scenario registry (the CLI-facing interface) ----------------------------------

@@ -5,7 +5,8 @@ mostly valid but with bad values, foreign flags, overflowing numbers and
 unwritable ``--out`` paths mixed in, and every run must end with exit 0,
 2, 3 or 4 and never raise. The runs are kept small (few steps, grid points
 and quadrature intervals), the examples are derandomized, and nothing is
-stored between runs.
+stored between runs. The CSV row formatter must write any finite floats as
+:func:`format_scalar` writes each one.
 """
 
 import contextlib
@@ -16,8 +17,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, METHODS, main
+from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, METHODS, _csv_row, main
 from mechfield.scenarios import SCENARIOS
+from mechfield.vectors import format_scalar
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_IO}
 
@@ -88,3 +90,9 @@ def test_field_ends_with_a_documented_exit_code(kind, at, data):
 @given(kind=st.sampled_from(["e-line", "b-loop"]), out_kind=st.sampled_from(OUT_KINDS), data=st.data())
 def test_field_grid_ends_with_a_documented_exit_code(kind, out_kind, data):
     assert run(["field-grid", kind, "--intervals=20", *draw_flags(data, GRID_FLAGS)], out_kind) in EXIT_CODES
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_row_writes_each_value_as_format_scalar(row):
+    assert _csv_row(row) == ",".join(map(format_scalar, row))

@@ -90,6 +90,27 @@ class TestLineIntegral:
             line_integral(0, lambda p: 1.0, line_segment(1.0))
 
 
+class TestClosedCurves:
+    @pytest.mark.parametrize("radius", [1e-300, 0.7, 1e6])
+    @pytest.mark.parametrize("intervals", [1, 2])
+    def test_loop_in_fewer_than_three_pieces_is_refused(self, radius, intervals):
+        loop = circular_loop(radius)
+        for integrate in (
+            lambda: line_integral(intervals, lambda p: 1.0, loop),
+            lambda: crossed_line_integral(intervals, lambda p: Z_HAT, loop),
+            lambda: electric_field_of_line_charge(lambda p: 1e-9, loop, intervals),
+            lambda: magnetic_field_of_line_current(1.0, loop, intervals),
+        ):
+            with pytest.raises(ValueError, match="closed curve needs at least 3 intervals"):
+                integrate()
+
+    def test_open_curves_take_any_number_of_pieces(self):
+        almost_loop = Curve(circular_loop(1.0).func, 0.0, 2.0 * math.pi - 1e-6)
+        for curve in (line_segment(1.0), line_segment(1e-300), almost_loop):
+            for intervals in (1, 2):
+                line_integral(intervals, lambda p: 1.0, curve)  # not refused
+
+
 class TestCrossedLineIntegral:
     def test_constant_field_over_closed_curve_vanishes(self):
         out = crossed_line_integral(100, lambda p: Vec3(1.0, -2.0, 3.0), circular_loop(1.0))
@@ -282,7 +303,7 @@ class TestBuiltOnce:
             for point in oracle_points():
                 assert bits(field(point)) == bits(closure_e_field(density, curve, intervals, point))
 
-    @pytest.mark.parametrize("intervals", [1, 7, 999, 1000])
+    @pytest.mark.parametrize("intervals", [3, 7, 999, 1000])
     def test_magnetic_field_matches_closure_oracle_bit_for_bit(self, intervals):
         curve = circular_loop(0.8)
         for current in (1.5, -0.25):

@@ -17,7 +17,7 @@ from mechfield.mechanics import (
 )
 from mechfield.solver import (
     InitialValueProblem,
-    euler_cromer_step,
+    euler_cromer_method,
     euler_method,
     rk4_method,
     second_order_equation,
@@ -115,7 +115,9 @@ def one_particle_system(r: Vec3, v: Vec3) -> tuple:
 
 
 def test_system_step_single_particle_hand_value():
-    out = euler_cromer_step(lambda t, q, v: Vec3(0, 0, -10), 0.1, one_particle_system(ZERO, ZERO))
+    out = euler_cromer_method(
+        second_order_equation(lambda t, q, v: Vec3(0, 0, -10)), 0.1, one_particle_system(ZERO, ZERO)
+    )
     assert out == system(0.1, [(Vec3(0, 0, -0.1), Vec3(0, 0, -1.0))])
 
 
@@ -126,21 +128,23 @@ def test_system_step_matches_particle_stepper_exactly():
     for _ in range(100):
         r1, v1, r2, v2 = (Vec3(*(rng.uniform(-5, 5) for _ in range(3))) for _ in range(4))
         dt = rng.uniform(0, 1)
-        pair = euler_cromer_step(lambda t, q, v: (*a, *b), dt, system(0.0, [(r1, v1), (r2, v2)]))
-        one = euler_cromer_step(lambda t, q, v: a, dt, one_particle_system(r1, v1))
-        two = euler_cromer_step(lambda t, q, v: b, dt, one_particle_system(r2, v2))
+        pair = euler_cromer_method(
+            second_order_equation(lambda t, q, v: (*a, *b)), dt, system(0.0, [(r1, v1), (r2, v2)])
+        )
+        one = euler_cromer_method(second_order_equation(lambda t, q, v: a), dt, one_particle_system(r1, v1))
+        two = euler_cromer_method(second_order_equation(lambda t, q, v: b), dt, one_particle_system(r2, v2))
         assert pair == system(one[0], [(one[1:4], one[4:]), (two[1:4], two[4:])])
 
 
 def test_system_step_zero_dt():
     state = system(3.0, [(Vec3(1, 0, 0), Vec3(0, 1, 0)), (Vec3(2, 0, 0), ZERO)])
-    out = euler_cromer_step(lambda t, q, v: (*ZERO, *ZERO), 0.0, state)
+    out = euler_cromer_method(second_order_equation(lambda t, q, v: (*ZERO, *ZERO)), 0.0, state)
     assert out == state
 
 
 def test_system_step_free_particles_decouple():
     state = system(0.0, [(ZERO, Vec3(1, 0, 0)), (Vec3(5, 0, 0), Vec3(0, 2, 0))])
-    out = euler_cromer_step(lambda t, q, v: (*ZERO, *ZERO), 0.5, state)
+    out = euler_cromer_method(second_order_equation(lambda t, q, v: (*ZERO, *ZERO)), 0.5, state)
     assert out == system(0.5, [(Vec3(0.5, 0, 0), Vec3(1, 0, 0)), (Vec3(5, 1, 0), Vec3(0, 2, 0))])
 
 
@@ -278,7 +282,7 @@ def test_spring_chain_lowest_mode_frequency():
         for i in range(n)
     ]
     state = system(0.0, particles)
-    accel = spring_chain_accel(k, spacing, m, fixed_ends=True)
+    equation = second_order_equation(spring_chain_accel(k, spacing, m, fixed_ends=True))
 
     mid = n // 2
     mid_x = 1 + 3 * mid  # index of the middle particle's x in the flat state
@@ -287,7 +291,7 @@ def test_spring_chain_lowest_mode_frequency():
     crossings = []
     previous = state[mid_x] - equilibrium_x
     for _ in range(int(5 * period / dt)):
-        nxt = euler_cromer_step(accel, dt, state)
+        nxt = euler_cromer_method(equation, dt, state)
         deviation = nxt[mid_x] - equilibrium_x
         if (previous > 0) != (deviation > 0):
             fraction = previous / (previous - deviation)
@@ -360,7 +364,7 @@ def test_angular_state_shift_laws():
 
 
 def test_angular_cromer_step_uses_new_omega():
-    out = euler_cromer_step(lambda t, q, v: (-2.0,), 0.1, (0.0, 1.0, 0.0))
+    out = euler_cromer_method(second_order_equation(lambda t, q, v: (-2.0,)), 0.1, (0.0, 1.0, 0.0))
     assert out == (0.1, 1.0 + (-0.2) * 0.1, -0.2)
 
 
@@ -392,8 +396,9 @@ def test_pendulum_small_angle_period():
 def test_tx_pairs_sho_start_decreases():
     import itertools
 
-    problem = InitialValueProblem(damped_driven_osc(0.0, 0.0, 0.0), one_particle_system(X_HAT, ZERO))
-    stream = solution_stream(euler_cromer_step, 0.01, problem)
+    equation = second_order_equation(damped_driven_osc(0.0, 0.0, 0.0))
+    problem = InitialValueProblem(equation, one_particle_system(X_HAT, ZERO))
+    stream = solution_stream(euler_cromer_method, 0.01, problem)
     pairs = [(state[0], state[1]) for state in itertools.islice(stream, 3)]
     xs = [x for _, x in pairs]
     assert xs[0] == 1.0

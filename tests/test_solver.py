@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from mechfield.cli import METHODS
 from mechfield.mechanics import satellite_accel
+from mechfield.scenarios import SCENARIOS
 from mechfield.solver import (
     InitialValueProblem,
-    euler_cromer_step,
+    euler_cromer_method,
     euler_method,
     rk4_method,
     second_order_equation,
@@ -53,11 +55,6 @@ def test_euler_step_position_uses_old_velocity():
     assert out == particle(0.1, ZERO, Vec3(0, 0, -1.0))
 
 
-def test_euler_step_zero_dt_is_identity():
-    s = particle(2.0, Vec3(1, 2, 3), Vec3(4, 5, 6))
-    assert euler_method(second_order_equation(constant_accel(Vec3(0, 0, -10))), 0.0, s) == s
-
-
 def test_euler_step_uniform_motion():
     s = particle(0.0, ZERO, Vec3(1, 0, 0))
     assert euler_method(second_order_equation(FREE), 1.0, s) == particle(1.0, Vec3(1, 0, 0), Vec3(1, 0, 0))
@@ -68,13 +65,8 @@ def test_euler_step_uniform_motion():
 
 def test_euler_cromer_step_position_uses_new_velocity():
     s = particle(0.0, ZERO, ZERO)
-    out = euler_cromer_step(constant_accel(Vec3(0, 0, -10)), 0.1, s)
+    out = euler_cromer_method(second_order_equation(constant_accel(Vec3(0, 0, -10))), 0.1, s)
     assert out == particle(0.1, Vec3(0, 0, -0.1), Vec3(0, 0, -1.0))
-
-
-def test_euler_cromer_zero_dt_is_identity():
-    s = particle(1.0, Vec3(1, 1, 1), Vec3(2, 2, 2))
-    assert euler_cromer_step(constant_accel(Vec3(3, 0, 0)), 0.0, s) == s
 
 
 def test_steppers_coincide_for_zero_acceleration():
@@ -83,7 +75,43 @@ def test_steppers_coincide_for_zero_acceleration():
     for _ in range(100):
         s = random_state(rng)
         dt = rng.uniform(-2, 2)
-        assert euler_method(equation, dt, s) == euler_cromer_step(FREE, dt, s)
+        assert euler_method(equation, dt, s) == euler_cromer_method(equation, dt, s)
+
+
+def accel_cromer_step(accel, dt: float, y: tuple) -> tuple:
+    """Oracle: the Euler-Cromer step as once written against the acceleration function."""
+    n = len(y) // 2
+    t = y[0]
+    q = y[1:n + 1]
+    v = y[n + 1:]
+    a = accel(t, q, v)
+    v = [b + c * dt for b, c in zip(v, a)]
+    return (t + dt, *[x + b * dt for x, b in zip(q, v)], *v)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_euler_cromer_method_matches_acceleration_stepper_bit_for_bit(name):
+    scenario = SCENARIOS[name]
+    run = scenario.build(scenario.defaults)
+    equation = run.equation
+    state = expected = run.initial
+    for _ in range(500):
+        state = euler_cromer_method(equation, scenario.dt, state)
+        expected = accel_cromer_step(run.accel, scenario.dt, expected)
+        assert repr(state) == repr(expected)
+
+
+# --- every method -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", list(METHODS.values()))
+def test_methods_zero_dt_is_identity(method):
+    for a, s in (
+        (Vec3(0, 0, -10), particle(2.0, Vec3(1, 2, 3), Vec3(4, 5, 6))),
+        (Vec3(3, 0, 0), particle(1.0, Vec3(1, 1, 1), Vec3(2, 2, 2))),
+        (ZERO, particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))),
+    ):
+        assert method(second_order_equation(constant_accel(a)), 0.0, s) == s
 
 
 # --- differential equation construction -------------------------------------
@@ -112,13 +140,7 @@ def test_particle_equation_chains_satellite_acceleration():
 # --- derivative length ------------------------------------------------------
 
 
-@pytest.mark.parametrize("wrong", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
-def test_euler_cromer_refuses_acceleration_of_wrong_length(wrong):
-    with pytest.raises(ValueError, match="acceleration has"):
-        euler_cromer_step(lambda t, q, v: wrong, 0.1, (0.0, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0))
-
-
-@pytest.mark.parametrize("method", [euler_method, rk4_method])
+@pytest.mark.parametrize("method", list(METHODS.values()))
 @pytest.mark.parametrize("wrong", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
 def test_generic_methods_refuse_acceleration_of_wrong_length(method, wrong):
     equation = second_order_equation(lambda t, q, v: wrong)
@@ -130,6 +152,13 @@ def test_generic_methods_refuse_acceleration_of_wrong_length(method, wrong):
 def test_generic_methods_refuse_derivative_of_wrong_length(method):
     with pytest.raises(ValueError, match="derivative has 1 components for a state of 2"):
         method(lambda y: y[:1], 0.1, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("state", [(1.0, 2.0), (), (0.0, 1.0, 2.0, 3.0, 0.0, 0.0)])
+def test_euler_cromer_refuses_state_without_velocity_half(state):
+    # valid for the first-order methods, but no (t, q..., v...) layout
+    with pytest.raises(ValueError, match=r"is not \(t, q\.\.\., v\.\.\.\)"):
+        euler_cromer_method(lambda y: y, 0.1, state)
 
 
 # --- generic evolution methods ----------------------------------------------
@@ -148,16 +177,6 @@ def test_euler_method_reproduces_euler_step_exactly():
 def test_euler_method_on_scalar_state():
     # dy/dt = y, y0 = 1, one step of 0.5
     assert euler_method(lambda y: y, 0.5, (1.0,)) == (1.5,)
-
-
-def test_euler_method_zero_dt():
-    s = particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
-    assert euler_method(second_order_equation(FREE), 0.0, s) == s
-
-
-def test_rk4_zero_dt():
-    s = particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
-    assert rk4_method(second_order_equation(FREE), 0.0, s) == s
 
 
 def test_rk4_single_step_value():
@@ -212,7 +231,7 @@ def test_shift_laws_for_scalar_state():
 def test_stream_starts_at_initial_state():
     s0 = particle(0.0, X_HAT, ZERO)
     problem = InitialValueProblem(second_order_equation(FREE), s0)
-    for method in (euler_method, rk4_method):
+    for method in METHODS.values():
         assert next(solution_stream(method, 0.1, problem)) == s0
 
 
@@ -242,27 +261,28 @@ def test_stream_reconsumption_is_identical():
     assert first == second
 
 
-# --- Euler-Cromer streams: euler_cromer_step as the method, accel as the equation
+# --- Euler-Cromer streams ------------------------------------------------------
 
 
 def test_solve_states_starts_at_initial_state():
     from mechfield.mechanics import damped_driven_osc
 
     s0 = particle(0.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
-    problem = InitialValueProblem(damped_driven_osc(0.0, 1.0, 0.7), s0)
-    assert next(solution_stream(euler_cromer_step, 0.01, problem)) == s0
+    problem = InitialValueProblem(second_order_equation(damped_driven_osc(0.0, 1.0, 0.7)), s0)
+    assert next(solution_stream(euler_cromer_method, 0.01, problem)) == s0
 
 
 def test_solve_states_free_particle_keeps_velocity():
-    problem = InitialValueProblem(FREE, particle(0.0, ZERO, Vec3(2, -1, 0)))
-    for state in itertools.islice(solution_stream(euler_cromer_step, 0.5, problem), 10):
+    problem = InitialValueProblem(second_order_equation(FREE), particle(0.0, ZERO, Vec3(2, -1, 0)))
+    for state in itertools.islice(solution_stream(euler_cromer_method, 0.5, problem), 10):
         assert state[4:] == (2, -1, 0)
 
 
 def test_solve_states_sho_returns_after_one_cycle():
     from mechfield.mechanics import damped_driven_osc
 
-    problem = InitialValueProblem(damped_driven_osc(0.0, 0.0, 0.0), particle(0.0, X_HAT, ZERO))
-    stream = solution_stream(euler_cromer_step, 0.01, problem)
+    equation = second_order_equation(damped_driven_osc(0.0, 0.0, 0.0))
+    problem = InitialValueProblem(equation, particle(0.0, X_HAT, ZERO))
+    stream = solution_stream(euler_cromer_method, 0.01, problem)
     state = next(itertools.islice(stream, 628, None))  # t = 6.28, one period of the unit SHO
     assert (Vec3(*state[1:4]) - X_HAT).magnitude() < 1e-3

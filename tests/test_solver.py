@@ -55,6 +55,16 @@ def test_euler_step_position_uses_old_velocity():
     assert out == particle(0.1, ZERO, Vec3(0, 0, -1.0))
 
 
+def test_euler_step_zero_dt_is_identity():
+    s = particle(2.0, Vec3(1, 2, 3), Vec3(4, 5, 6))
+    assert euler_method(second_order_equation(constant_accel(Vec3(0, 0, -10))), 0.0, s) == s
+
+
+def test_euler_method_zero_dt():
+    s = particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
+    assert euler_method(second_order_equation(FREE), 0.0, s) == s
+
+
 def test_euler_step_uniform_motion():
     s = particle(0.0, ZERO, Vec3(1, 0, 0))
     assert euler_method(second_order_equation(FREE), 1.0, s) == particle(1.0, Vec3(1, 0, 0), Vec3(1, 0, 0))
@@ -177,6 +187,11 @@ def test_euler_method_reproduces_euler_step_exactly():
 def test_euler_method_on_scalar_state():
     # dy/dt = y, y0 = 1, one step of 0.5
     assert euler_method(lambda y: y, 0.5, (1.0,)) == (1.5,)
+
+
+def test_rk4_zero_dt():
+    s = particle(1.0, Vec3(1, 0, 0), Vec3(0, 1, 0))
+    assert rk4_method(second_order_equation(FREE), 0.0, s) == s
 
 
 def test_rk4_single_step_value():

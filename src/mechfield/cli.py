@@ -54,6 +54,9 @@ EXIT_IO = 4
 
 METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_method, "rk4": rk4_method}
 
+# Each field source kind's flags, with their defaults.
+FIELD_SOURCES = {"e-line": {"lambda": 1e-9, "length": 1.0}, "b-loop": {"current": 1.0, "radius": 1.0}}
+
 # Exit code per error a command raises, first match wins (DomainError is a ValueError).
 EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OSError, EXIT_IO))
 
@@ -91,14 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=_cmd_simulate)
 
     def add_field_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("kind", choices=("e-line", "b-loop"), help="field source kind")
-        p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=_finite_float, default=1e-9,
+        p.add_argument("kind", choices=FIELD_SOURCES, help="field source kind")
+        p.add_argument("--lambda", metavar="LAMBDA", type=_finite_float, default=None,
                        help="e-line: linear charge density, C/m (default 1e-9)")
-        p.add_argument("--length", type=_finite_float, default=1.0,
+        p.add_argument("--length", type=_finite_float, default=None,
                        help="e-line: segment length, m (default 1)")
-        p.add_argument("--current", type=_finite_float, default=1.0,
+        p.add_argument("--current", type=_finite_float, default=None,
                        help="b-loop: current, A (default 1)")
-        p.add_argument("--radius", type=_finite_float, default=1.0,
+        p.add_argument("--radius", type=_finite_float, default=None,
                        help="b-loop: loop radius, m (default 1)")
         p.add_argument("--intervals", type=int, default=1000,
                        help="quadrature intervals (default 1000)")
@@ -125,17 +128,14 @@ def _write_lines(out: str | None, lines: Iterable[str]) -> None:
 
     A regular file, new or existing, is written through a sibling opened
     before the first line is made and renamed onto it, with its old
-    permissions, after the last. Anything else, such as a device or a pipe,
-    is opened first and, like stdout, gets the whole text at the end.
+    permissions, after the last. Stdout, and anything else at ``out`` such
+    as a device or a pipe (opened first), gets the whole text at the end.
     """
-    if out is None:
-        sys.stdout.write("\n".join(lines) + "\n")
-        return
-    if not out:
+    if out == "":
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    existing = os.path.isfile(out)
-    if not existing and os.path.exists(out):  # opening a directory fails here
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+    existing = out is not None and os.path.isfile(out)
+    if out is None or (not existing and os.path.exists(out)):  # opening a directory fails here
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
         return
     if existing and not os.access(out, os.W_OK):  # a rename asks only the directory
@@ -155,18 +155,23 @@ def _write_lines(out: str | None, lines: Iterable[str]) -> None:
             os.remove(partial)
 
 
+def _overlay_flags(owner: str, defaults: dict[str, float], flags: Iterable[str],
+                   args: argparse.Namespace) -> dict[str, float]:
+    """``defaults``, overlaid with the given ones of ``flags``; a flag ``owner`` does not take is an error."""
+    for name in flags:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in defaults:
+            raise ValueError(f"{owner} does not take --{name}")
+        defaults[name] = value
+    return defaults
+
+
 def _resolve_params(scenario: Scenario, args: argparse.Namespace) -> dict[str, float]:
     """The scenario's defaults, overlaid with the scenario flags that were given."""
-    params = scenario.defaults
-    for declaring in SCENARIOS.values():
-        for name in declaring.params:
-            value = getattr(args, name)
-            if value is None:
-                continue
-            if name not in params:
-                raise ValueError(f"scenario '{scenario.name}' does not take --{name}")
-            params[name] = value
-    return params
+    flags = (name for declaring in SCENARIOS.values() for name in declaring.params)
+    return _overlay_flags(f"scenario '{scenario.name}'", scenario.defaults, flags, args)
 
 
 def _csv_row(values: Iterable[float]) -> str:
@@ -204,13 +209,15 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _make_field(args: argparse.Namespace) -> VectorField:
+    flags = (name for source in FIELD_SOURCES.values() for name in source)
+    params = _overlay_flags(f"source '{args.kind}'", dict(FIELD_SOURCES[args.kind]), flags, args)
     if args.kind == "e-line":
-        density = args.lambda_
+        density = params["lambda"]
         return electric_field_of_line_charge(
-            lambda _point: density, line_segment(args.length), args.intervals
+            lambda _point: density, line_segment(params["length"]), args.intervals
         )
     return magnetic_field_of_line_current(
-        args.current, circular_loop(args.radius), args.intervals
+        params["current"], circular_loop(params["radius"]), args.intervals
     )
 
 
@@ -231,12 +238,12 @@ def _axis_values(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
-def _grid_lines(field: VectorField, args: argparse.Namespace) -> Iterator[str]:
+def _grid_lines(field: VectorField, xs: list[float], ys: list[float], zs: list[float]) -> Iterator[str]:
     """The CSV header, then one row per grid point, z varying fastest."""
     yield "x,y,z,Fx,Fy,Fz"
-    for x in _axis_values(args.x_min, args.x_max, args.x_count):
-        for y in _axis_values(args.y_min, args.y_max, args.y_count):
-            for z in _axis_values(args.z_min, args.z_max, args.z_count):
+    for x in xs:
+        for y in ys:
+            for z in zs:
                 try:
                     line = _csv_row((x, y, z, *field(Position(x, y, z))))
                     if "n" in line:  # as in _trajectory_lines
@@ -249,7 +256,13 @@ def _grid_lines(field: VectorField, args: argparse.Namespace) -> Iterator[str]:
 def _cmd_field_grid(args: argparse.Namespace) -> None:
     if min(args.x_count, args.y_count, args.z_count) < 1:
         raise ValueError("grid counts must be >= 1")
-    _write_lines(args.out, _grid_lines(_make_field(args), args))
+    axes = []
+    for axis in "xyz":
+        values = _axis_values(*(getattr(args, f"{axis}_{end}") for end in ("min", "max", "count")))
+        if not all(map(math.isfinite, values)):  # the span overflows: the grid, not the field, is at fault
+            raise ValueError(f"grid {axis} points are not finite: --{axis}-min and --{axis}-max are too far apart")
+        axes.append(values)
+    _write_lines(args.out, _grid_lines(_make_field(args), *axes))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -119,19 +119,17 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     return accel
 
 
-def spring_chain_accel(
-    k: float, spacing: float, mass: float, fixed_ends: bool = True
-) -> AccelerationFunction:
-    """Point masses joined by nearest-neighbor Hooke's-law springs.
+def spring_chain_accel(k: float, spacing: float, mass: float) -> AccelerationFunction:
+    """Point masses joined by nearest-neighbor Hooke's-law springs, ends anchored.
 
     The chain lies along the x axis: particle i has equilibrium position
-    (i+1) * spacing, and every spring has natural length ``spacing``.
-    With ``fixed_ends`` (the default), stationary virtual anchors sit at
-    x = 0 and x = (n+1) * spacing, one spacing beyond each end particle,
-    so the chain supports standing waves. Displacements are full 3D
-    vectors, so both longitudinal and transverse motion work; which one
-    you get is a matter of initial conditions. Two neighbors at the same
-    point give a spring of no direction, which is a :class:`DomainError`.
+    (i+1) * spacing, and every spring has natural length ``spacing``. The
+    ends are always anchored: stationary virtual anchors sit at x = 0 and
+    x = (n+1) * spacing, one spacing beyond each end particle, so the
+    chain supports standing waves. Displacements are full 3D vectors, so
+    both longitudinal and transverse motion work; which one you get is a
+    matter of initial conditions. Two neighbors at the same point give a
+    spring of no direction, which is a :class:`DomainError`.
     """
     if k <= 0.0 or spacing <= 0.0 or mass <= 0.0:
         raise ValueError("k, spacing, and mass must all be positive")
@@ -141,20 +139,11 @@ def spring_chain_accel(
         n = len(q) // 3
         if n < 1:
             raise ValueError("spring chain needs at least one particle")
-        points = [q[i:i + 3] for i in range(0, len(q), 3)]
-        if fixed_ends:
-            points = [(0.0, 0.0, 0.0)] + points + [((n + 1) * spacing, 0.0, 0.0)]
-            offset = 1
-        else:
-            offset = 0
+        points = [(0.0, 0.0, 0.0), *(q[i:i + 3] for i in range(0, len(q), 3)), ((n + 1) * spacing, 0.0, 0.0)]
         out: list[float] = []
-        for i in range(offset, offset + n):
-            x, y, z = points[i]
+        for left, (x, y, z), right in zip(points, points[1:], points[2:]):
             fx = fy = fz = 0.0
-            for j in (i - 1, i + 1):
-                if not 0 <= j < len(points):
-                    continue
-                xj, yj, zj = points[j]
+            for xj, yj, zj in (left, right):
                 dx = xj - x
                 dy = yj - y
                 dz = zj - z

@@ -76,7 +76,6 @@ class Scenario:
     """Registry entry: parameter declarations plus a builder from parameters to a run."""
 
     name: str
-    description: str
     dt: float
     steps: int
     params: Mapping[str, Param]
@@ -157,7 +156,7 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
     q: list[float] = []
     for i in range(count):
         q += ((i + 1) * spacing, amplitude * math.sin((i + 1) * math.pi / (count + 1)), 0.0)
-    accel = spring_chain_accel(params["k"], spacing, params["mass"], fixed_ends=True)
+    accel = spring_chain_accel(params["k"], spacing, params["mass"])
     return ScenarioRun((0.0, *q, *[0.0] * len(q)), accel, _system_header(count), _system_row)
 
 
@@ -166,7 +165,6 @@ SCENARIOS: dict[str, Scenario] = {
     for scenario in (
         Scenario(
             name="sho",
-            description="simple harmonic oscillator, unit mass and spring constant, released from x = 1 m",
             dt=0.01,
             steps=1000,
             params={},
@@ -174,7 +172,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="ddho",
-            description="damped driven harmonic oscillator released from x = 1 m",
             dt=0.01,
             steps=1000,
             params={
@@ -186,7 +183,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="satellite",
-            description="satellite on a circular orbit of radius 7e6 m about a fixed Earth",
             dt=1.0,
             steps=5828,
             params={},
@@ -194,7 +190,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="pendulum",
-            description="pendulum about a fixed pivot, angle and angular velocity state",
             dt=0.01,
             steps=1000,
             params={
@@ -207,7 +202,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="three-body",
-            description="Sun, Earth, and Moon under mutual gravitation (illustrative seed values)",
             dt=3600.0,
             steps=8766,
             params={},
@@ -215,7 +209,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="spring-chain",
-            description="point masses joined by springs between fixed ends, plucked transversely",
             dt=0.1,
             steps=2000,
             params={

@@ -468,6 +468,23 @@ def test_field_unknown_kind_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+@pytest.mark.parametrize(("kind", "foreign"), [
+    ("e-line", "--radius"), ("e-line", "--current"), ("b-loop", "--lambda"), ("b-loop", "--length"),
+])
+def test_flag_of_the_other_source_kind_is_usage_error(capsys, command, kind, foreign):
+    at = ["--at", "1,0,0"] if command == "field" else []
+    code, out, err = run_cli(capsys, command, kind, foreign, "3", *at)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: source '{kind}' does not take {foreign}\n"
+
+
+def test_field_source_defaults_are_not_changed_by_a_call_that_sets_them(capsys):
+    default = run_cli(capsys, "field", "e-line", "--at", "1,0,0")
+    assert run_cli(capsys, "field", "e-line", "--lambda", "0", "--length", "3", "--at", "1,0,0")[0] == EXIT_OK
+    assert run_cli(capsys, "field", "e-line", "--at", "1,0,0") == default
+
+
 # --- field-grid ------------------------------------------------------------------
 
 
@@ -543,6 +560,17 @@ def test_grid_overflow_names_offending_point(capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "not finite at 1e-06,0,0" in err
+
+
+@pytest.mark.parametrize("span", [("--x-min=1", "--x-max=1.5e308"), ("--x-min=-1e308", "--x-max=1e308")])
+def test_grid_whose_points_overflow_is_usage_error(tmp_path, capsys, span):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "field-grid", "e-line", *span, "--x-count", "3", "--out", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: grid x points are not finite: --x-min and --x-max are too far apart\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(capsys, "field-grid", "e-line", *span, "--x-count", "3")
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 def test_grid_writes_deterministic_file(tmp_path, capsys):

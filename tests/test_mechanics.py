@@ -238,19 +238,13 @@ def lattice(count: int, spacing: float = 1.0) -> list:
 
 
 def test_spring_chain_equilibrium_has_zero_acceleration():
-    accel = spring_chain_accel(k=2.0, spacing=1.0, mass=0.5, fixed_ends=True)
-    for a in triples(accel_at(accel, system(0.0, lattice(5)))):
-        assert a.magnitude() <= 1e-12
-
-
-def test_spring_chain_free_equilibrium_too():
-    accel = spring_chain_accel(k=2.0, spacing=1.0, mass=0.5, fixed_ends=False)
+    accel = spring_chain_accel(k=2.0, spacing=1.0, mass=0.5)
     for a in triples(accel_at(accel, system(0.0, lattice(5)))):
         assert a.magnitude() <= 1e-12
 
 
 def test_spring_chain_transverse_displacement_restores():
-    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0, fixed_ends=True)
+    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
     state = one_particle_system(Vec3(1.0, 0.2, 0.0), ZERO)
     (a,) = triples(accel_at(accel, state))
     assert a.y < 0  # back toward the axis
@@ -258,7 +252,7 @@ def test_spring_chain_transverse_displacement_restores():
 
 
 def test_spring_chain_uniform_translation_loads_only_the_ends():
-    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0, fixed_ends=True)
+    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
     shifted = [(r + Vec3(0.1, 0, 0), v) for r, v in lattice(6)]
     accels = triples(accel_at(accel, system(0.0, shifted)))
     assert accels[0].magnitude() > 1e-3
@@ -282,7 +276,7 @@ def test_spring_chain_lowest_mode_frequency():
         for i in range(n)
     ]
     state = system(0.0, particles)
-    equation = second_order_equation(spring_chain_accel(k, spacing, m, fixed_ends=True))
+    equation = second_order_equation(spring_chain_accel(k, spacing, m))
 
     mid = n // 2
     mid_x = 1 + 3 * mid  # index of the middle particle's x in the flat state
@@ -303,6 +297,52 @@ def test_spring_chain_lowest_mode_frequency():
     assert measured == pytest.approx(period, rel=0.01)
 
 
+def anchored_chain_oracle(k: float, spacing: float, mass: float):
+    """The chain kernel as it was before its free-ends option was removed, with anchored ends."""
+    inverse_mass = 1.0 / mass
+
+    def accel(t, q, v):
+        n = len(q) // 3
+        points = [q[i:i + 3] for i in range(0, len(q), 3)]
+        points = [(0.0, 0.0, 0.0)] + points + [((n + 1) * spacing, 0.0, 0.0)]
+        offset = 1
+        out = []
+        for i in range(offset, offset + n):
+            x, y, z = points[i]
+            fx = fy = fz = 0.0
+            for j in (i - 1, i + 1):
+                if not 0 <= j < len(points):
+                    continue
+                xj, yj, zj = points[j]
+                dx = xj - x
+                dy = yj - y
+                dz = zj - z
+                length = math.sqrt(dx * dx + dy * dy + dz * dz)
+                scale = k * (length - spacing) / length
+                fx = fx + dx * scale
+                fy = fy + dy * scale
+                fz = fz + dz * scale
+            out += (fx * inverse_mass, fy * inverse_mass, fz * inverse_mass)
+        return out
+
+    return accel
+
+
+@pytest.mark.parametrize("stretch", [0.6, 1.4])  # compressed and stretched lattices
+@pytest.mark.parametrize("count", [1, 2, 100])
+def test_spring_chain_matches_the_anchored_oracle_bit_for_bit(count, stretch):
+    rng = random.Random(count * 10 + int(stretch * 10))
+    for k, spacing, mass in ((1.0, 1.0, 1.0), (2.7, 0.3, 0.45), (0.05, 13.0, 7.0)):
+        accel, oracle = spring_chain_accel(k, spacing, mass), anchored_chain_oracle(k, spacing, mass)
+        for _ in range(10):
+            q = []
+            for i in range(count):
+                jitter = spacing * rng.uniform(-0.2, 0.2)
+                q += ((i + 1) * spacing * stretch + jitter, rng.gauss(0.0, spacing), rng.gauss(0.0, spacing))
+            v = [rng.uniform(-1.0, 1.0) for _ in q]
+            assert repr(accel(0.0, q, v)) == repr(oracle(0.0, q, v))
+
+
 def test_spring_chain_rejects_bad_parameters():
     with pytest.raises(ValueError):
         spring_chain_accel(k=0.0, spacing=1.0, mass=1.0)
@@ -313,15 +353,14 @@ def test_spring_chain_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize(
-    "fixed_ends, particles",
+    "particles",
     [
-        (True, [(Vec3(1.0, 0.5, 0.0), ZERO), (Vec3(1.0, 0.5, 0.0), ZERO)]),
-        (False, [(Vec3(1.0, 0.5, 0.0), ZERO), (Vec3(1.0, 0.5, 0.0), ZERO)]),
-        (True, [(ZERO, ZERO)]),  # on the fixed anchor at the origin
+        [(Vec3(1.0, 0.5, 0.0), ZERO), (Vec3(1.0, 0.5, 0.0), ZERO)],
+        [(ZERO, ZERO)],  # on the fixed anchor at the origin
     ],
 )
-def test_spring_chain_coincident_neighbors_is_domain_error(fixed_ends, particles):
-    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0, fixed_ends=fixed_ends)
+def test_spring_chain_coincident_neighbors_is_domain_error(particles):
+    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
     with pytest.raises(DomainError, match="coincide"):
         accel_at(accel, system(0.0, particles))
 

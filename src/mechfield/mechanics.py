@@ -12,7 +12,10 @@ particles.
 Each function performs its floating-point operations in the order of the
 equivalent ``Vec3`` expression (sums start from 0.0, magnitudes are
 ``sqrt(x*x + y*y + z*z)``): the CSV bytes, and the golden hashes in the
-tests, depend on that order.
+tests, depend on that order. The spring chain computes each spring once and
+applies it to both ends with opposite signs (Newton's third law): IEEE
+negation is exact and ``0.0 - t`` is ``0.0 + (-t)``, signed zeros too, so the
+bytes are those of summing each particle's two neighbor pulls.
 """
 
 from __future__ import annotations
@@ -129,33 +132,35 @@ def spring_chain_accel(k: float, spacing: float, mass: float) -> AccelerationFun
     chain supports standing waves. Displacements are full 3D vectors, so
     both longitudinal and transverse motion work; which one you get is a
     matter of initial conditions. Two neighbors at the same point give a
-    spring of no direction, which is a :class:`DomainError`.
+    spring of no direction, which is a :class:`DomainError`. Each spring is
+    computed once and pulls its two ends with opposite signs.
     """
     if k <= 0.0 or spacing <= 0.0 or mass <= 0.0:
         raise ValueError("k, spacing, and mass must all be positive")
     inverse_mass = 1.0 / mass
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
+        if len(q) % 3:
+            raise ValueError(f"spring chain state has {len(q)} coordinates, not 3 per particle")
         n = len(q) // 3
         if n < 1:
             raise ValueError("spring chain needs at least one particle")
-        points = [(0.0, 0.0, 0.0), *(q[i:i + 3] for i in range(0, len(q), 3)), ((n + 1) * spacing, 0.0, 0.0)]
         out: list[float] = []
-        for left, (x, y, z), right in zip(points, points[1:], points[2:]):
-            fx = fy = fz = 0.0
-            for xj, yj, zj in (left, right):
-                dx = xj - x
-                dy = yj - y
-                dz = zj - z
-                length = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if length == 0.0:
-                    raise DomainError("spring chain neighbors coincide")
-                # natural-length spring: pulls when stretched, pushes when compressed
-                scale = k * (length - spacing) / length
-                fx = fx + dx * scale
-                fy = fy + dy * scale
-                fz = fz + dz * scale
-            out += (fx * inverse_mass, fy * inverse_mass, fz * inverse_mass)
+        x0 = y0 = z0 = 0.0  # the spring's left end: the left anchor, then each particle
+        fx = fy = fz = 0.0  # 0.0 minus the term of the spring to the left of that end
+        ends = iter((*q, (n + 1) * spacing, 0.0, 0.0))
+        for x1, y1, z1 in zip(ends, ends, ends):
+            dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+            length = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if length == 0.0:
+                raise DomainError("spring chain neighbors coincide")
+            # natural-length spring: pulls when stretched, pushes when compressed
+            scale = k * (length - spacing) / length
+            tx, ty, tz = dx * scale, dy * scale, dz * scale
+            out += ((fx + tx) * inverse_mass, (fy + ty) * inverse_mass, (fz + tz) * inverse_mass)
+            fx, fy, fz = 0.0 - tx, 0.0 - ty, 0.0 - tz
+            x0, y0, z0 = x1, y1, z1
+        del out[:3]  # the first triple is the left anchor's, which never moves
         return out
 
     return accel

@@ -1,7 +1,8 @@
 """Golden gate: SHA-256 of the CLI's output bytes for fixed invocations.
 
 Every scenario x method pair runs at reduced --steps (spring-chain also
-at a reduced particle count, to keep this in the quick suite). Each
+at a reduced particle count, to keep this in the quick suite), and
+the RK4 chain once more at 100 particles, the benchmark's width. Each
 source kind has ``field`` at the default 1000 intervals, at the fewest
 it allows (1 for the open segment, 3 for the closed loop) and at 4999
 (the top of the benchmark's field-points range), plus one
@@ -46,6 +47,15 @@ SIMULATE_GOLDEN = {
     "spring-chain/rk4": "04f1aa0820a0ad96942f26cab777ccd940125bca5c97d2c9cefeaf44d9cf1bbe",
 }
 
+# The chain at the width of the benchmark's chain-rk4 workload, which runs 80-120 particles.
+WIDE_ARGS = {
+    "spring-chain/rk4-100": ("simulate", "spring-chain", "--method", "rk4", "--particles", "100", "--steps", "14"),
+}
+
+WIDE_GOLDEN = {
+    "spring-chain/rk4-100": "176ec528f3fc6872f8a1003d5d1bca7c0b4c5928e4dd15413059619b7589fea0",
+}
+
 FIELD_ARGS = {
     "field-b-loop": ("field", "b-loop", "--radius", "0.7", "--at", "0.3,0.2,0.5"),
     "field-e-line": ("field", "e-line", "--length", "2", "--at", "0.5,0.1,-0.2"),
@@ -87,6 +97,11 @@ def test_simulate_golden(capsys, case):
     assert digest(capsys, argv) == SIMULATE_GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(WIDE_GOLDEN))
+def test_wide_golden(capsys, case):
+    assert digest(capsys, WIDE_ARGS[case]) == WIDE_GOLDEN[case]
+
+
 @pytest.mark.parametrize("case", sorted(FIELD_GOLDEN))
 def test_field_golden(capsys, case):
     assert digest(capsys, FIELD_ARGS[case]) == FIELD_GOLDEN[case]
@@ -97,4 +112,5 @@ def test_golden_covers_every_scenario_and_method():
     from mechfield.scenarios import SCENARIOS
 
     assert set(SIMULATE_GOLDEN) == {f"{s}/{m}" for s in SCENARIOS for m in METHODS}
+    assert set(WIDE_GOLDEN) == set(WIDE_ARGS)
     assert set(FIELD_GOLDEN) == set(FIELD_ARGS)

@@ -298,7 +298,7 @@ def test_spring_chain_lowest_mode_frequency():
 
 
 def anchored_chain_oracle(k: float, spacing: float, mass: float):
-    """The chain kernel as it was before its free-ends option was removed, with anchored ends."""
+    """The chain kernel before it computed each spring once: every particle sums its two neighbors' pulls."""
     inverse_mass = 1.0 / mass
 
     def accel(t, q, v):
@@ -328,19 +328,31 @@ def anchored_chain_oracle(k: float, spacing: float, mass: float):
     return accel
 
 
+# A particle's (y, z) off the chain's axis: anywhere, in a plane through the axis at z = +0.0 or
+# -0.0, or on the axis (longitudinal motion). Zero components check the sign of zero in each force.
+TRANSVERSE = (
+    lambda rng, spacing: (rng.gauss(0.0, spacing), rng.gauss(0.0, spacing)),
+    lambda rng, spacing: (rng.gauss(0.0, spacing), 0.0),
+    lambda rng, spacing: (rng.gauss(0.0, spacing), -0.0),
+    lambda rng, spacing: (0.0, 0.0),
+    lambda rng, spacing: (-0.0, -0.0),
+)
+
+
 @pytest.mark.parametrize("stretch", [0.6, 1.4])  # compressed and stretched lattices
 @pytest.mark.parametrize("count", [1, 2, 100])
 def test_spring_chain_matches_the_anchored_oracle_bit_for_bit(count, stretch):
     rng = random.Random(count * 10 + int(stretch * 10))
     for k, spacing, mass in ((1.0, 1.0, 1.0), (2.7, 0.3, 0.45), (0.05, 13.0, 7.0)):
         accel, oracle = spring_chain_accel(k, spacing, mass), anchored_chain_oracle(k, spacing, mass)
-        for _ in range(10):
-            q = []
-            for i in range(count):
-                jitter = spacing * rng.uniform(-0.2, 0.2)
-                q += ((i + 1) * spacing * stretch + jitter, rng.gauss(0.0, spacing), rng.gauss(0.0, spacing))
-            v = [rng.uniform(-1.0, 1.0) for _ in q]
-            assert repr(accel(0.0, q, v)) == repr(oracle(0.0, q, v))
+        for transverse in TRANSVERSE:
+            for _ in range(10):
+                q = []
+                for i in range(count):
+                    jitter = spacing * rng.uniform(-0.2, 0.2)
+                    q += ((i + 1) * spacing * stretch + jitter, *transverse(rng, spacing))
+                v = [rng.uniform(-1.0, 1.0) for _ in q]
+                assert repr(accel(0.0, q, v)) == repr(oracle(0.0, q, v))
 
 
 def test_spring_chain_rejects_bad_parameters():
@@ -352,16 +364,24 @@ def test_spring_chain_rejects_bad_parameters():
         spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(0.0, (), ())
 
 
+@pytest.mark.parametrize("length", [4, 5])
+def test_spring_chain_refuses_a_state_that_is_not_whole_particles(length):
+    q = [1.0, 0.0, 0.0, 5.0, 0.0][:length]
+    with pytest.raises(ValueError, match=f"spring chain state has {length} coordinates, not 3 per particle"):
+        spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(0.0, q, [0.0] * length)
+
+
 @pytest.mark.parametrize(
     "particles",
     [
         [(Vec3(1.0, 0.5, 0.0), ZERO), (Vec3(1.0, 0.5, 0.0), ZERO)],
         [(ZERO, ZERO)],  # on the fixed anchor at the origin
+        lattice(2) + [(Vec3(4.0, 0.0, 0.0), ZERO)],  # on the anchor at (n + 1) * spacing, the last spring
     ],
 )
 def test_spring_chain_coincident_neighbors_is_domain_error(particles):
     accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
-    with pytest.raises(DomainError, match="coincide"):
+    with pytest.raises(DomainError, match="^spring chain neighbors coincide$"):
         accel_at(accel, system(0.0, particles))
 
 

@@ -4,13 +4,14 @@
 ``field``       evaluate an electric or magnetic field at one point
 ``field-grid``  sample a field over a rectangular grid to CSV
 
-``simulate`` makes its scenario flags from the parameters each scenario
-declares and takes its states from :func:`solution_stream`, which steps
-the scenario's differential equation with any one of ``METHODS``. Both
-CSV commands format rows with one function and hand their lines to one
-all-or-nothing writer, and identical invocations give byte-identical
-output. Commands raise, and :func:`main` maps the error to the exit code:
-2 for usage errors (``ValueError``), 3 for domain errors
+Scenarios and field source kinds declare each parameter once, with its
+default and help. One helper makes a flag of each, its help ending in the
+default, and one resolver overlays the flags given on the defaults.
+``simulate`` steps the scenario's differential equation with any one of
+``METHODS``. Both CSV commands format rows with one function and hand
+their lines to one all-or-nothing writer, and identical invocations give
+byte-identical output. Commands raise, and :func:`main` maps the error to
+the exit code: 2 for usage errors (``ValueError``), 3 for domain errors
 (``DomainError``: a point on a field's source, a state or field value
 that is not finite), 4 when ``--out`` cannot be written.
 """
@@ -26,7 +27,7 @@ import os
 import shutil
 import sys
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 from .fields import (
@@ -36,7 +37,7 @@ from .fields import (
     line_segment,
     magnetic_field_of_line_current,
 )
-from .scenarios import SCENARIOS, Scenario, ScenarioRun
+from .scenarios import SCENARIOS, Param, Scenario, ScenarioRun
 from .solver import (
     InitialValueProblem,
     State,
@@ -54,8 +55,28 @@ EXIT_IO = 4
 
 METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_method, "rk4": rk4_method}
 
-# Each field source kind's flags, with their defaults.
-FIELD_SOURCES = {"e-line": {"lambda": 1e-9, "length": 1.0}, "b-loop": {"current": 1.0, "radius": 1.0}}
+
+class _FieldSource(NamedTuple):
+    """A field source kind, declared like a scenario: parameters plus a builder ``(params, intervals) -> field``."""
+
+    params: Mapping[str, Param]
+    build: Callable[[Mapping[str, float], int], VectorField]
+
+
+def _e_line(params: Mapping[str, float], intervals: int) -> VectorField:
+    density = params["lambda"]  # bound once: the density function runs once per quadrature piece
+    return electric_field_of_line_charge(lambda _point: density, line_segment(params["length"]), intervals)
+
+
+def _b_loop(params: Mapping[str, float], intervals: int) -> VectorField:
+    return magnetic_field_of_line_current(params["current"], circular_loop(params["radius"]), intervals)
+
+
+FIELD_SOURCES = {
+    "e-line": _FieldSource({"lambda": Param(1e-9, "linear charge density, C/m"),
+                            "length": Param(1.0, "segment length, m")}, _e_line),
+    "b-loop": _FieldSource({"current": Param(1.0, "current, A"), "radius": Param(1.0, "loop radius, m")}, _b_loop),
+}
 
 # Exit code per error a command raises, first match wins (DomainError is a ValueError).
 EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OSError, EXIT_IO))
@@ -72,6 +93,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _add_param_flags(parser: argparse._ActionsContainer, owners: Mapping[str, Scenario | _FieldSource]) -> None:
+    """One optional flag per parameter each owner declares: int for an int default, a finite float otherwise."""
+    for owner, declaring in owners.items():
+        for name, param in declaring.params.items():
+            kind = int if isinstance(param.default, int) else _finite_float
+            parser.add_argument(f"--{name}", type=kind,
+                                help=f"{owner}: {param.help} (default {format_scalar(param.default)})")
+
+
 @functools.cache  # built once per process; every parse makes its own Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,33 +116,18 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--steps", type=int, default=None, help="number of steps; output has steps+1 rows")
     simulate.add_argument("--method", choices=METHODS, default="euler-cromer", help="evolution method")
     simulate.add_argument("--out", default=None, help="output file (default: stdout)")
-    scenario_params = simulate.add_argument_group("scenario parameters")
-    for scenario in SCENARIOS.values():
-        for name, param in scenario.params.items():
-            kind = int if isinstance(param.default, int) else _finite_float
-            scenario_params.add_argument(f"--{name}", type=kind, default=None, help=f"{scenario.name}: {param.help}")
+    _add_param_flags(simulate.add_argument_group("scenario parameters"), SCENARIOS)
     simulate.set_defaults(handler=_cmd_simulate)
 
-    def add_field_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("kind", choices=FIELD_SOURCES, help="field source kind")
-        p.add_argument("--lambda", metavar="LAMBDA", type=_finite_float, default=None,
-                       help="e-line: linear charge density, C/m (default 1e-9)")
-        p.add_argument("--length", type=_finite_float, default=None,
-                       help="e-line: segment length, m (default 1)")
-        p.add_argument("--current", type=_finite_float, default=None,
-                       help="b-loop: current, A (default 1)")
-        p.add_argument("--radius", type=_finite_float, default=None,
-                       help="b-loop: loop radius, m (default 1)")
-        p.add_argument("--intervals", type=int, default=1000,
-                       help="quadrature intervals (default 1000)")
-
     field = sub.add_parser("field", help="evaluate a field at one point")
-    add_field_arguments(field)
+    grid = sub.add_parser("field-grid", help="sample a field over a rectangular grid to CSV")
+    for p in (field, grid):
+        p.add_argument("kind", choices=FIELD_SOURCES, help="field source kind")
+        _add_param_flags(p, FIELD_SOURCES)
+        p.add_argument("--intervals", type=int, default=1000, help="quadrature intervals (default %(default)s)")
     field.add_argument("--at", required=True, metavar="X,Y,Z", help="field point, meters")
     field.set_defaults(handler=_cmd_field)
 
-    grid = sub.add_parser("field-grid", help="sample a field over a rectangular grid to CSV")
-    add_field_arguments(grid)
     for axis in "xyz":
         grid.add_argument(f"--{axis}-min", type=_finite_float, default=0.0, help=f"grid {axis} start, m")
         grid.add_argument(f"--{axis}-max", type=_finite_float, default=0.0, help=f"grid {axis} end, m")
@@ -155,23 +170,14 @@ def _write_lines(out: str | None, lines: Iterable[str]) -> None:
             os.remove(partial)
 
 
-def _overlay_flags(owner: str, defaults: dict[str, float], flags: Iterable[str],
-                   args: argparse.Namespace) -> dict[str, float]:
-    """``defaults``, overlaid with the given ones of ``flags``; a flag ``owner`` does not take is an error."""
-    for name in flags:
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name not in defaults:
-            raise ValueError(f"{owner} does not take --{name}")
-        defaults[name] = value
-    return defaults
-
-
-def _resolve_params(scenario: Scenario, args: argparse.Namespace) -> dict[str, float]:
-    """The scenario's defaults, overlaid with the scenario flags that were given."""
-    flags = (name for declaring in SCENARIOS.values() for name in declaring.params)
-    return _overlay_flags(f"scenario '{scenario.name}'", scenario.defaults, flags, args)
+def _resolve(label: str, owners: Mapping[str, Scenario | _FieldSource], name: str,
+             args: argparse.Namespace) -> dict[str, float]:
+    """The defaults ``owners[name]`` declares, overlaid with the flags given; another owner's flag is an error."""
+    given = {flag: getattr(args, flag) for declaring in owners.values() for flag in declaring.params}
+    for flag, value in given.items():
+        if value is not None and flag not in owners[name].params:
+            raise ValueError(f"{label} '{name}' does not take --{flag}")
+    return {key: param.default if given[key] is None else given[key] for key, param in owners[name].params.items()}
 
 
 def _csv_row(values: Iterable[float]) -> str:
@@ -203,22 +209,13 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ValueError("--dt must be positive")
     if steps < 0:
         raise ValueError("--steps must be >= 0")
-    run = scenario.build(_resolve_params(scenario, args))
+    run = scenario.build(_resolve("scenario", SCENARIOS, args.scenario, args))
     states = solution_stream(METHODS[args.method], dt, InitialValueProblem(run.equation, run.initial))
     _write_lines(args.out, _trajectory_lines(run, islice(states, steps + 1)))
 
 
 def _make_field(args: argparse.Namespace) -> VectorField:
-    flags = (name for source in FIELD_SOURCES.values() for name in source)
-    params = _overlay_flags(f"source '{args.kind}'", dict(FIELD_SOURCES[args.kind]), flags, args)
-    if args.kind == "e-line":
-        density = params["lambda"]
-        return electric_field_of_line_charge(
-            lambda _point: density, line_segment(params["length"]), args.intervals
-        )
-    return magnetic_field_of_line_current(
-        params["current"], circular_loop(params["radius"]), args.intervals
-    )
+    return FIELD_SOURCES[args.kind].build(_resolve("source", FIELD_SOURCES, args.kind, args), args.intervals)
 
 
 def _cmd_field(args: argparse.Namespace) -> None:

@@ -65,7 +65,7 @@ class ScenarioRun(NamedTuple):
 
 
 class Param(NamedTuple):
-    """A scenario parameter's default and its help text, unit included."""
+    """A scenario's or field source's parameter: its default (an int makes an int flag) and help, unit included."""
 
     default: float
     help: str
@@ -151,12 +151,14 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
     if count < 1:
         raise ValueError("spring chain needs at least one particle")
     spacing = params["spacing"]
+    accel = spring_chain_accel(params["k"], spacing, params["mass"])  # refuses a spacing that is not positive
+    if not math.isfinite((count + 1) * spacing):  # the right anchor, the lattice's farthest point
+        raise ValueError("spring chain lattice is not finite: --particles and --spacing are too large")
     amplitude = params["amplitude"]
     # transverse pluck along the lowest standing-wave mode
     q: list[float] = []
     for i in range(count):
         q += ((i + 1) * spacing, amplitude * math.sin((i + 1) * math.pi / (count + 1)), 0.0)
-    accel = spring_chain_accel(params["k"], spacing, params["mass"])
     return ScenarioRun((0.0, *q, *[0.0] * len(q)), accel, _system_header(count), _system_row)
 
 

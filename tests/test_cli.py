@@ -332,6 +332,20 @@ def test_simulate_rejects_bad_parameter_values(capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(("particles", "steps"), [("1", "2"), ("1", "0"), ("2", "2")])
+def test_spring_chain_whose_lattice_overflows_is_usage_error(tmp_path, capsys, monkeypatch, particles, steps):
+    # the right anchor (particles + 1) * spacing is inf: refused when the chain is built, as an overflowing grid is
+    calls = counting_scenario(monkeypatch, "spring-chain")
+    out_path = tmp_path / "chain.csv"
+    argv = ("simulate", "spring-chain", "--particles", particles, "--spacing", "1e308", "--steps", steps)
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: spring chain lattice is not finite: --particles and --spacing are too large\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv)[:2] == (EXIT_USAGE, "")
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -468,15 +482,35 @@ def test_field_unknown_kind_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+SOURCE_FLAGS = [(kind, name) for kind, source in cli.FIELD_SOURCES.items() for name in source.params]
+FIELD_AT = {"field": ("--at", "0.5,0,0.25"), "field-grid": ("--x-min", "0.5", "--z-min", "0.25")}  # off both sources
+
+
 @pytest.mark.parametrize("command", ["field", "field-grid"])
 @pytest.mark.parametrize(("kind", "foreign"), [
-    ("e-line", "--radius"), ("e-line", "--current"), ("b-loop", "--lambda"), ("b-loop", "--length"),
+    (kind, f"--{name}") for kind in cli.FIELD_SOURCES for owner, name in SOURCE_FLAGS if owner != kind
 ])
 def test_flag_of_the_other_source_kind_is_usage_error(capsys, command, kind, foreign):
-    at = ["--at", "1,0,0"] if command == "field" else []
-    code, out, err = run_cli(capsys, command, kind, foreign, "3", *at)
+    code, out, err = run_cli(capsys, command, kind, foreign, "3", *FIELD_AT[command])
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: source '{kind}' does not take {foreign}\n"
+
+
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+@pytest.mark.parametrize(("owner", "param"), SOURCE_FLAGS)
+def test_every_declared_source_parameter_is_a_finite_float_flag(capsys, command, owner, param):
+    default = cli.FIELD_SOURCES[owner].params[param].default
+    at = FIELD_AT[command]
+    code, out, _ = run_cli(capsys, command, owner, f"--{param}", str(default), *at)
+    assert code == EXIT_OK
+    assert out == run_cli(capsys, command, owner, *at)[1]
+    code, out, err = run_cli(capsys, command, owner, f"--{param}", "inf", *at)
+    assert (code, out) == (EXIT_USAGE, "") and "must be a finite number" in err
+    for other in cli.FIELD_SOURCES:
+        if other != owner:
+            code, out, err = run_cli(capsys, command, other, f"--{param}", str(default), *at)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"error: source '{other}' does not take --{param}\n"
 
 
 def test_field_source_defaults_are_not_changed_by_a_call_that_sets_them(capsys):
@@ -662,6 +696,19 @@ def test_every_declared_parameter_is_a_flag_of_its_declared_type(capsys, owner, 
             assert code == EXIT_USAGE
             assert out == ""
             assert f"scenario '{other}' does not take --{param}" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "field", "field-grid"])
+def test_help_states_each_declared_default(capsys, monkeypatch, command):
+    owners = SCENARIOS if command == "simulate" else cli.FIELD_SOURCES
+    monkeypatch.setenv("COLUMNS", "300")  # wide enough that argparse wraps no help line
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    for owner, declaring in owners.items():
+        for param in declaring.params.values():
+            text = f"{owner}: {param.help} (default {format_scalar(param.default)})"
+            assert any(line.endswith(f" {text}") for line in lines), text
 
 
 # --- module entry point -----------------------------------------------------------

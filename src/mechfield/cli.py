@@ -209,6 +209,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ValueError("--dt must be positive")
     if steps < 0:
         raise ValueError("--steps must be >= 0")
+    if steps > sys.maxsize - 1:  # islice stops at steps + 1, which may not pass sys.maxsize
+        raise ValueError(f"--steps must be at most {sys.maxsize - 1}")
     run = scenario.build(_resolve("scenario", SCENARIOS, args.scenario, args))
     states = solution_stream(METHODS[args.method], dt, InitialValueProblem(run.equation, run.initial))
     _write_lines(args.out, _trajectory_lines(run, islice(states, steps + 1)))

@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import DomainError
 from .vectors import Position, Vec3, ZERO, displacement
@@ -58,17 +57,30 @@ VectorField = Callable[[Position], Vec3]
 V = TypeVar("V", float, Vec3)
 
 
-@dataclass(frozen=True)
-class Curve:
-    """A parametrized path in space with explicit parameter bounds."""
-
+class _CurveFields(NamedTuple):
     func: Callable[[float], Position]
     start: float
     end: float
 
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(f"curve parameters must satisfy start < end, got [{self.start}, {self.end}]")
+
+class Curve(_CurveFields):
+    """A parametrized path in space with explicit parameter bounds.
+
+    An immutable record, ``Curve(func, start, end)``; building one, or a
+    changed copy with ``_replace``, raises ``ValueError`` unless
+    ``start < end``, so a NaN bound is refused too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, func: Callable[[float], Position], start: float, end: float) -> "Curve":
+        if not start < end:
+            raise ValueError(f"curve parameters must satisfy start < end, got [{start}, {end}]")
+        return super().__new__(cls, func, start, end)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Curve":  # under _replace too: a changed copy is checked like a new curve
+        return cls(*iterable)
 
 
 def circular_loop(radius: float) -> Curve:
@@ -100,11 +112,12 @@ def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, 
     """
     if intervals < 1:
         raise ValueError(f"need at least one interval, got {intervals}")
-    width = (curve.end - curve.start) / intervals
-    first = previous = curve.func(curve.start)
+    func, start = curve.func, curve.start
+    width = (curve.end - start) / intervals
+    first = previous = func(start)
     for i in range(intervals):
-        sample = curve.func(curve.start + (i + 0.5) * width)
-        following = curve.func(curve.start + (i + 1) * width)
+        sample = func(start + (i + 0.5) * width)
+        following = func(start + (i + 1) * width)
         yield previous, sample, following
         previous = following
     if intervals < 3:

@@ -132,8 +132,9 @@ def spring_chain_accel(k: float, spacing: float, mass: float) -> AccelerationFun
     chain supports standing waves. Displacements are full 3D vectors, so
     both longitudinal and transverse motion work; which one you get is a
     matter of initial conditions. Two neighbors at the same point give a
-    spring of no direction, which is a :class:`DomainError`. Each spring is
-    computed once and pulls its two ends with opposite signs.
+    spring of no direction, which is a :class:`DomainError`, and so is a
+    right anchor beyond the largest float. Each spring is computed once and
+    pulls its two ends with opposite signs.
     """
     if k <= 0.0 or spacing <= 0.0 or mass <= 0.0:
         raise ValueError("k, spacing, and mass must all be positive")
@@ -145,10 +146,13 @@ def spring_chain_accel(k: float, spacing: float, mass: float) -> AccelerationFun
         n = len(q) // 3
         if n < 1:
             raise ValueError("spring chain needs at least one particle")
+        anchor = (n + 1) * spacing  # the right anchor, the lattice's farthest point
+        if not anchor < math.inf:
+            raise DomainError("spring chain lattice is not finite")
         out: list[float] = []
         x0 = y0 = z0 = 0.0  # the spring's left end: the left anchor, then each particle
         fx = fy = fz = 0.0  # 0.0 minus the term of the spring to the left of that end
-        ends = iter((*q, (n + 1) * spacing, 0.0, 0.0))
+        ends = iter((*q, anchor, 0.0, 0.0))
         for x1, y1, z1 in zip(ends, ends, ends):
             dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
             length = math.sqrt(dx * dx + dy * dy + dz * dz)

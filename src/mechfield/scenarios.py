@@ -13,7 +13,6 @@ method steps is derived from the acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -71,9 +70,12 @@ class Param(NamedTuple):
     help: str
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Registry entry: parameter declarations plus a builder from parameters to a run."""
+class Scenario(NamedTuple):
+    """Registry entry: parameter declarations plus a builder from parameters to a run.
+
+    An immutable record, like :class:`ScenarioRun`: ``_replace`` makes a
+    changed copy.
+    """
 
     name: str
     dt: float

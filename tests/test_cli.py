@@ -1,6 +1,5 @@
 """CLI contract tests: CSV schemas, determinism, exit codes, all-or-nothing output."""
 
-import dataclasses
 import math
 import os
 import stat
@@ -143,7 +142,7 @@ def counting_scenario(monkeypatch, name: str) -> list:
 
         return run._replace(accel=accel)
 
-    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(scenario, build=build))
+    monkeypatch.setitem(SCENARIOS, name, scenario._replace(build=build))
     return calls
 
 
@@ -321,6 +320,23 @@ def test_simulate_rejects_nonpositive_dt(capsys):
 def test_simulate_rejects_negative_steps(capsys):
     code, _, _ = run_cli(capsys, "simulate", "sho", "--steps", "-1")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("steps", [sys.maxsize, 10**20])
+def test_simulate_rejects_steps_islice_cannot_count(tmp_path, capsys, steps):
+    out_path = tmp_path / "ddho.csv"
+    code, out, err = run_cli(capsys, "simulate", "ddho", "--steps", str(steps), "--out", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --steps must be at most {sys.maxsize - 1}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["name", "dt", "steps", "params", "build"])
+def test_scenario_field_cannot_be_assigned(name):
+    scenario = SCENARIOS["ddho"]
+    with pytest.raises(AttributeError):
+        setattr(scenario, name, None)
+    assert scenario.dt == 0.01 and scenario.defaults == {"beta": 0.0, "amp": 1.0, "omega": 0.7}
 
 
 def test_simulate_rejects_bad_parameter_values(capsys):

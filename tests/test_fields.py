@@ -37,6 +37,24 @@ class TestCurves:
         with pytest.raises(ValueError):
             Curve(lambda t: Position(t, 0, 0), 1.0, 1.0)
 
+    @pytest.mark.parametrize(("start", "end"), [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_curve_refuses_decreasing_or_nan_bounds(self, start, end):
+        with pytest.raises(ValueError, match="start < end"):
+            Curve(lambda t: Position(t, 0, 0), start, end)
+
+    @pytest.mark.parametrize("bounds", [{"start": 0.5}, {"end": math.nan}])
+    def test_changed_copy_of_a_curve_is_checked(self, bounds):
+        with pytest.raises(ValueError, match="start < end"):
+            line_segment(1.0)._replace(**bounds)
+        assert line_segment(1.0)._replace(end=2.0)[1:] == (-0.5, 2.0)
+
+    @pytest.mark.parametrize("name", ["func", "start", "end"])
+    def test_curve_field_cannot_be_assigned(self, name):
+        curve = line_segment(1.0)
+        with pytest.raises(AttributeError):
+            setattr(curve, name, 0.0)
+        assert (curve.start, curve.end) == (-0.5, 0.5)
+
     def test_circular_loop_start(self):
         p = circular_loop(2.0).func(0.0)
         assert (p.x, p.y, p.z) == (2.0, 0.0, 0.0)

@@ -364,6 +364,13 @@ def test_spring_chain_rejects_bad_parameters():
         spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(0.0, (), ())
 
 
+@pytest.mark.parametrize(("spacing", "q"), [(1e308, (1e308, 0.01, 0.0)), (1e308, (1.0, 0.0, 0.0, 2.0, 0.0, 0.0))])
+def test_spring_chain_whose_right_anchor_overflows_is_domain_error(spacing, q):
+    accel = spring_chain_accel(k=1.0, spacing=spacing, mass=1.0)
+    with pytest.raises(DomainError, match="^spring chain lattice is not finite$"):
+        accel(0.0, q, [0.0] * len(q))
+
+
 @pytest.mark.parametrize("length", [4, 5])
 def test_spring_chain_refuses_a_state_that_is_not_whole_particles(length):
     q = [1.0, 0.0, 0.0, 5.0, 0.0][:length]

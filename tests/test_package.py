@@ -1,4 +1,10 @@
-"""The package's public names: each layer's ``__all__``, listed once."""
+"""The package's public names, each layer's ``__all__`` listed once, and its start-up imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mechfield
 from mechfield import errors, fields, mechanics, solver, vectors
@@ -15,3 +21,13 @@ def test_every_public_name_resolves_to_its_layers_object():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(mechfield, name) is getattr(layer, name)
+
+
+def test_startup_and_smallest_runs_import_neither_dataclasses_nor_inspect():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(tests / "startup_modules.py")], capture_output=True, text=True, env=env)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "mechfield.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert (proc.returncode, proc.stderr) == (0, "")

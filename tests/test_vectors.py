@@ -146,6 +146,30 @@ class TestPosition:
     def test_is_not_a_vector(self):
         assert Position(1, 2, 3) != Vec3(1, 2, 3)
 
+    def test_coordinate_cannot_be_deleted(self):
+        p = Position(1.0, 2.0, 3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.x
+        assert p == Position(1.0, 2.0, 3.0)
+
+    def test_new_attribute_cannot_be_set(self):
+        p = Position(1.0, 2.0, 3.0)
+        with pytest.raises((AttributeError, TypeError)):  # a slotted frozen dataclass raised TypeError here
+            p.w = 4.0
+        assert not hasattr(p, "w")
+
+    def test_copy_is_an_equal_position(self):
+        p = Position(1.5, -2.5, 3.25)
+        assert copy.copy(p) == p
+        assert type(copy.copy(p)) is Position
+
+    def test_match_by_position(self):
+        match Position(1.0, 2.0, 3.0):
+            case Position(x, y, z):
+                assert (x, y, z) == (1.0, 2.0, 3.0)
+            case _:
+                pytest.fail("Position(x, y, z) pattern did not match")
+
 
 class TestAlgebraProperties:
     """Randomized spot checks; the acceptance suite runs the 10^4 sweep."""

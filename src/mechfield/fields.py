@@ -26,7 +26,7 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import DomainError
-from .vectors import Position, Vec3, ZERO, displacement
+from .vectors import Position, Vec3, ZERO, displacement, format_scalar
 
 __all__ = [
     "COULOMB_CONSTANT",
@@ -169,8 +169,15 @@ def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[li
     return columns, (math.sqrt(farthest) + ON_SOURCE_DISTANCE) * (1.0 + 1e-9)  # with slack for rounding
 
 
+def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
+    """``value``, or :class:`DomainError` naming the point ``p`` if a component is not finite."""
+    if all(map(math.isfinite, value)):
+        return value
+    raise DomainError(f"field is not finite at {','.join(map(format_scalar, p))}")
+
+
 def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> None:
-    """Raise :class:`DomainError` within ON_SOURCE_DISTANCE of any sample or chord."""
+    """Raise :class:`DomainError`, naming ``p``, within ON_SOURCE_DISTANCE of any sample or chord."""
     px, py, pz = p
     for sx, sy, sz, _, ax, ay, az, cx, cy, cz in zip(*columns):
         along = (px - ax) * cx + (py - ay) * cy + (pz - az) * cz
@@ -178,7 +185,7 @@ def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> No
         f = min(along / squared, 1.0) if along > 0.0 and squared > 0.0 else 0.0
         nearest = (ax + f * cx, ay + f * cy, az + f * cz)
         if min(math.dist(p, (sx, sy, sz)), math.dist(p, nearest)) < ON_SOURCE_DISTANCE:
-            raise DomainError("field point on source")
+            raise DomainError(f"field point on source at {','.join(map(format_scalar, p))}")
 
 
 def electric_field_of_line_charge(
@@ -191,8 +198,8 @@ def electric_field_of_line_charge(
     point p is COULOMB_CONSTANT times the line integral over the curve of
     density(q) d / |d|^3, where d runs from the source point q to p.
     Evaluating within 1e-12 m of the source, which for a curved source is
-    the polyline of quadrature chords (and their midpoint samples), raises
-    :class:`DomainError` rather than returning garbage.
+    the polyline of quadrature chords (and their midpoint samples), or an
+    overflow, raises :class:`DomainError` naming the point, not garbage.
     """
     columns, reach = _quadrature(intervals, curve, density)
     xs, ys, zs, charge, _, _, _, cxs, cys, czs = columns
@@ -210,7 +217,7 @@ def electric_field_of_line_charge(
             ex += dx * s * w
             ey += dy * s * w
             ez += dz * s * w
-        return Vec3(ex, ey, ez) * COULOMB_CONSTANT
+        return _finite(Vec3(ex, ey, ez) * COULOMB_CONSTANT, (px, py, pz))
 
     return field
 
@@ -225,7 +232,7 @@ def magnetic_field_of_line_current(
     computed as field x dl, the opposite order, so the sampled value
     carries a minus sign on the current to compensate. Evaluation within
     1e-12 m of the source, the polyline of quadrature chords (and their
-    midpoint samples), raises :class:`DomainError`.
+    midpoint samples), or an overflow, raises :class:`DomainError` naming the point.
     """
     strength = -current
     columns, reach = _quadrature(intervals, curve, lambda _source: strength)
@@ -244,6 +251,6 @@ def magnetic_field_of_line_current(
             bx += dy * cz - dz * cy
             by += dz * cx - dx * cz
             bz += dx * cy - dy * cx
-        return Vec3(bx, by, bz) * BIOT_SAVART_CONSTANT
+        return _finite(Vec3(bx, by, bz) * BIOT_SAVART_CONSTANT, (px, py, pz))
 
     return field

@@ -61,14 +61,18 @@ def damped_driven_osc(beta: float, drive_amp: float, drive_freq: float) -> Accel
     Three forces act: a spring force -r, a damping force -beta v, and a
     cosine drive of amplitude ``drive_amp`` (N) and angular frequency
     ``drive_freq`` (rad/s) along the x axis. With beta = drive_amp = 0 this
-    is the plain simple harmonic oscillator.
+    is the plain simple harmonic oscillator. An infinite drive phase
+    ``drive_freq * t`` is a :class:`DomainError`.
     """
     damping = -beta
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
         x, y, z = q
         vx, vy, vz = v
-        drive = drive_amp * math.cos(drive_freq * t)
+        try:
+            drive = drive_amp * math.cos(drive_freq * t)
+        except ValueError:  # cos of an infinite phase
+            raise DomainError("drive phase is not finite") from None
         # The drive acts along x as the vector (1, 0, 0) * drive. Its y and
         # z terms, 0.0 * drive, stay: they are -0.0 when drive < 0, which
         # decides the sign of a zero acceleration.
@@ -176,12 +180,16 @@ def pendulum_accel(g: float, length: float) -> AccelerationFunction:
     The state's one coordinate is the angle (rad) and its velocity the
     angular velocity (rad/s). This is the point-pendulum equation; a
     physical pendulum reduces to it with ``length`` read as I / (m d).
+    An infinite angle is a :class:`DomainError`.
     """
     if g <= 0.0 or length <= 0.0:
         raise ValueError("g and length must be positive")
     rate = g / length
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float]:
-        return (-rate * math.sin(q[0]),)
+        try:
+            return (-rate * math.sin(q[0]),)
+        except ValueError:  # sin of an infinite angle
+            raise DomainError("pendulum angle is not finite") from None
 
     return accel

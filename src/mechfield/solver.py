@@ -22,7 +22,12 @@ The independent variable is always time, in seconds.
 
 from __future__ import annotations
 
+from itertools import count
+from math import isfinite
 from typing import Callable, Iterator, NamedTuple, Sequence
+
+from .errors import DomainError
+from .vectors import format_scalar
 
 __all__ = [
     "State",
@@ -123,8 +128,16 @@ def solution_stream(method: EvolutionMethod, dt: float, problem: InitialValuePro
     Element 0 is the initial state; each later element applies the
     evolution method to the previous one, computed on demand. Every call
     builds a fresh stream, so consuming twice yields identical elements.
+    Element k that is not finite raises ``DomainError`` naming k and its
+    time instead, and a ``DomainError`` the method raises computing
+    element k gains `` at step k``.
     """
     equation, state = problem
-    while True:
+    for step in count():
+        if not isfinite(sum(state)) and not all(map(isfinite, state)):  # the sum alone may overflow
+            raise DomainError(f"state is not finite at step {step}, t = {format_scalar(state[0])}")
         yield state
-        state = method(equation, dt, state)
+        try:
+            state = method(equation, dt, state)
+        except DomainError as exc:
+            raise DomainError(f"{exc} at step {step + 1}") from exc

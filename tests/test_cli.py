@@ -112,6 +112,17 @@ def test_simulate_blow_up_is_domain_error(capsys):
     assert "not finite at step 308, t = 3080" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # an RK4 stage angle, or the drive phase omega * t, overflows to inf inside step 1
+    (("pendulum", "--method", "rk4", "--omega0", "1e308", "--dt", "10", "--steps", "5"), "pendulum angle"),
+    (("ddho", "--method", "rk4", "--omega", "1e308", "--dt", "10", "--steps", "3"), "drive phase"),
+], ids=["pendulum", "ddho"])
+def test_overflow_inside_a_step_is_domain_error_naming_the_step(capsys, argv, message):
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: {message} is not finite at step 1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "sho", "--steps", "2"),
     ("field-grid", "b-loop", "--intervals", "10"),
@@ -456,6 +467,14 @@ def test_field_overflow_is_domain_error(capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--lambda", "1e300", "--at", "1e-6,0,0"), "field is not finite at 1e-06,0,0"),
+    (("--at", "0,0,0.5"), "field point on source at 0,0,0.5"),
+], ids=["overflow", "on-source"])
+def test_field_domain_error_names_the_point(capsys, argv, message):
+    assert run_cli(capsys, "field", "e-line", *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
 
 
 def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):

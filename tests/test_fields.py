@@ -201,6 +201,21 @@ class TestElectricField:
             with pytest.raises(DomainError, match="field point on source"):
                 field(point)
 
+    def test_on_source_evaluation_names_the_point(self):
+        field = electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0), 10)
+        with pytest.raises(DomainError, match="^field point on source at 0,0,0.5$"):
+            field(Position(0.0, 0.0, 0.5))
+
+    def test_overflowing_evaluation_is_an_error_naming_the_point(self):
+        # 1e300 C/m at 1 um overflows the kernel: inf and nan, not a field value
+        field = electric_field_of_line_charge(lambda p: 1e300, line_segment(1.0))
+        with pytest.raises(DomainError, match="^field is not finite at 1e-06,0,0$"):
+            field(Position(1e-6, 0.0, 0.0))
+        # finite in the sum, overflowing only in the scaling by the constant
+        field = electric_field_of_line_charge(lambda p: 1e300, line_segment(1.0), 2)
+        with pytest.raises(DomainError, match="^field is not finite at 0,0,2$"):
+            field(Position(0.0, 0.0, 2.0))
+
 
 class TestMagneticField:
     def test_on_axis_oracle(self):
@@ -252,6 +267,16 @@ class TestMagneticField:
         for point in (sample, vertex, on_chord):
             with pytest.raises(DomainError, match="field point on source"):
                 field(point)
+
+    def test_on_source_evaluation_names_the_point(self):
+        field = magnetic_field_of_line_current(1.0, circular_loop(1.0), 4)
+        with pytest.raises(DomainError, match="^field point on source at 0.5,0.5,-0$"):
+            field(Position(0.5, 0.5, -0.0))
+
+    def test_overflowing_evaluation_is_an_error_naming_the_point(self):
+        field = magnetic_field_of_line_current(1e308, circular_loop(1.0))
+        with pytest.raises(DomainError, match="^field is not finite at 1.000001,0,0$"):
+            field(Position(1.000001, 0.0, 0.0))
 
     def test_curved_source_is_its_quadrature_polyline(self):
         # with 4 intervals the source is a square plus the 4 midpoint samples;

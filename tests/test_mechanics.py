@@ -107,6 +107,12 @@ def test_ddho_damping_term():
     assert accel(0.0, ZERO, Vec3(2, 0, 0)) == Vec3(-2, 0, 0)
 
 
+@pytest.mark.parametrize("omega, t", [(1e308, 10.0), (1.0, math.inf)])
+def test_ddho_infinite_drive_phase_is_domain_error(omega, t):
+    with pytest.raises(DomainError, match="^drive phase is not finite$"):
+        damped_driven_osc(0.0, 1.0, omega)(t, X_HAT, ZERO)
+
+
 # --- systems of particles ----------------------------------------------------------
 
 
@@ -415,6 +421,12 @@ def test_pendulum_rejects_bad_parameters():
         pendulum_accel(0.0, 1.0)
     with pytest.raises(ValueError):
         pendulum_accel(9.8, -1.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf])
+def test_pendulum_infinite_angle_is_domain_error(theta):
+    with pytest.raises(DomainError, match="^pendulum angle is not finite$"):
+        pendulum_accel(9.8, 1.0)(0.0, (theta,), (0.0,))
 
 
 def test_angular_state_shift_laws():

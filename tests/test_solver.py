@@ -7,7 +7,8 @@ import random
 import pytest
 
 from mechfield.cli import METHODS
-from mechfield.mechanics import satellite_accel
+from mechfield.errors import DomainError
+from mechfield.mechanics import damped_driven_osc, satellite_accel
 from mechfield.scenarios import SCENARIOS
 from mechfield.solver import (
     InitialValueProblem,
@@ -274,6 +275,55 @@ def test_stream_reconsumption_is_identical():
     first = list(itertools.islice(solution_stream(rk4_method, 0.1, problem), 50))
     second = list(itertools.islice(solution_stream(rk4_method, 0.1, problem), 50))
     assert first == second
+
+
+def test_stream_refuses_the_first_state_that_is_not_finite():
+    # explicit Euler at dt = 10 s grows the unit oscillator until state 308 overflows
+    equation = second_order_equation(damped_driven_osc(0.0, 0.0, 0.0))
+    stream = solution_stream(euler_method, 10.0, InitialValueProblem(equation, particle(0.0, X_HAT, ZERO)))
+    manual = particle(0.0, X_HAT, ZERO)
+    for state in itertools.islice(stream, 308):
+        assert state == manual
+        manual = euler_method(equation, 10.0, manual)
+    assert not all(map(math.isfinite, manual))
+    with pytest.raises(DomainError, match="^state is not finite at step 308, t = 3080$"):
+        next(stream)
+
+
+def test_stream_refuses_a_non_finite_initial_state():
+    stream = solution_stream(euler_method, 0.1, InitialValueProblem(lambda y: (1.0, 0.0, 0.0), (0.5, math.nan, 0.0)))
+    with pytest.raises(DomainError, match="^state is not finite at step 0, t = 0.5$"):
+        next(stream)
+
+
+def test_stream_yields_a_finite_state_whose_sum_overflows():
+    state = (0.0, 1e308, 1e308)
+    problem = InitialValueProblem(lambda y: (0.0, 0.0, 0.0), state)
+    assert list(itertools.islice(solution_stream(euler_method, 0.1, problem), 3)) == [state] * 3
+
+
+def test_stream_names_the_step_of_a_domain_error_the_method_raises():
+    def equation(y):
+        if y[0] >= 3.0:
+            raise DomainError("gravitational singularity")
+        return (1.0,)
+
+    stream = solution_stream(euler_method, 1.0, InitialValueProblem(equation, (0.0,)))
+    assert list(itertools.islice(stream, 4)) == [(0.0,), (1.0,), (2.0,), (3.0,)]
+    with pytest.raises(DomainError, match="^gravitational singularity at step 4$"):
+        next(stream)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_stream_computes_no_state_past_the_last_one_taken(method):
+    calls = []
+
+    def equation(y):
+        calls.append(y)
+        return (1.0, 0.0, 0.0)
+
+    list(itertools.islice(solution_stream(METHODS[method], 0.1, InitialValueProblem(equation, (0.0, 1.0, 0.0))), 3))
+    assert len(calls) == 2 * (4 if method == "rk4" else 1)
 
 
 # --- Euler-Cromer streams ------------------------------------------------------

@@ -8,13 +8,16 @@ Scenarios and field source kinds declare each parameter once, with its
 default and help. One helper makes a flag of each, its help ending in the
 default, and one resolver overlays the flags given on the defaults.
 ``simulate`` steps the scenario's differential equation with any one of
-``METHODS``. Both CSV commands format rows with one function and hand
-their lines to one all-or-nothing writer, and identical invocations give
-byte-identical output. Commands raise, and :func:`main` maps the error to
+``METHODS``. Both CSV commands hand their header and rows of floats to one
+all-or-nothing writer, the only place CSV text is made, and identical
+invocations give byte-identical output. It streams to every destination:
+a regular file through a sibling renamed onto it, stdout or a device
+through a spool that moves from memory to a temporary file past its
+first MiB. Commands raise, and :func:`main` maps the error to
 the exit code: 2 for usage errors (``ValueError``), 3 for domain errors
 (``DomainError``, which the library raises for a point on a field's source
 or a state or field value that is not finite, naming the step or point),
-4 when ``--out`` cannot be written.
+4 when ``--out`` or the spool cannot be written.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import argparse
 import contextlib
 import errno
 import functools
+import io
 import math
 import os
 import stat
 import sys
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 from .fields import (
@@ -46,12 +50,15 @@ from .solver import (
     rk4_method,
     solution_stream,
 )
-from .vectors import Position, format_scalar, parse_triple
+from .vectors import Position, format_row, format_scalar, parse_triple
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+
+# Characters of CSV text a run to stdout or a device holds in memory before its spool moves to a file.
+SPOOL_MEMORY = 1 << 20
 
 METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_method, "rk4": rk4_method}
 
@@ -138,20 +145,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_lines(out: str | None, lines: Iterable[str]) -> None:
-    """Write CSV lines all or nothing: to the file ``out``, or to stdout when it is None.
+def _write_csv(out: str | None, header: str, rows: Iterable[Iterable[float]]) -> None:
+    """Write the header and one line per row all or nothing: to the file ``out``, or to stdout when it is None.
 
     A regular file, new or existing, is written through a sibling opened
-    before the first line is made and renamed onto it, with its old
+    before the first row is made and renamed onto it, with its old
     permissions, after the last. Stdout, and anything else at ``out`` such
-    as a device or a pipe (opened first), gets the whole text at the end.
+    as a device or a pipe (opened first), gets the text of a spool after
+    the last row.
     """
+    lines = chain((header,), map(format_row, rows))
     if out == "":
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     existing = out is not None and os.path.isfile(out)
     if out is None or (not existing and os.path.exists(out)):  # opening a directory fails here
         with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            _spool_to(handle, lines)
         return
     if existing and not os.access(out, os.W_OK):  # a rename asks only the directory
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
@@ -170,6 +179,32 @@ def _write_lines(out: str | None, lines: Iterable[str]) -> None:
             os.remove(partial)
 
 
+def _spool_to(handle: IO[str], lines: Iterator[str]) -> None:
+    """Write every line to ``handle`` only after the last is made, holding at most SPOOL_MEMORY characters in memory.
+
+    The lines gather in a StringIO, its size checked after each one; past
+    SPOOL_MEMORY they move to an unnamed temporary file, so a short run
+    makes no file and imports no ``tempfile``.
+    """
+    spool: IO[str] = io.StringIO()
+    try:
+        for line in lines:
+            spool.write(line + "\n")
+            if spool.tell() > SPOOL_MEMORY:
+                import tempfile
+
+                memory, spool = spool, tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                spool.write(memory.getvalue())
+                memory.close()
+                for line in lines:  # the rest, straight to the file
+                    spool.write(line + "\n")
+        spool.seek(0)
+        while block := spool.read(1 << 16):
+            handle.write(block)
+    finally:
+        spool.close()
+
+
 def _resolve(label: str, owners: Mapping[str, Scenario | _FieldSource], name: str,
              args: argparse.Namespace) -> dict[str, float]:
     """The defaults ``owners[name]`` declares, overlaid with the flags given; another owner's flag is an error."""
@@ -178,15 +213,6 @@ def _resolve(label: str, owners: Mapping[str, Scenario | _FieldSource], name: st
         if value is not None and flag not in owners[name].params:
             raise ValueError(f"{label} '{name}' does not take --{flag}")
     return {key: param.default if given[key] is None else given[key] for key, param in owners[name].params.items()}
-
-
-def _csv_row(values: Iterable[float]) -> str:
-    """The values joined by commas, each written as :func:`format_scalar` writes it.
-
-    Floats only: the repr of an int or a numpy scalar differs. One pass
-    over the joined text drops every integral value's ``.0``.
-    """
-    return (",".join(map(repr, values)) + ",").replace(".0,", ",")[:-1]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -201,7 +227,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ValueError(f"--steps must be at most {sys.maxsize - 1}")
     run = scenario.build(_resolve("scenario", SCENARIOS, args.scenario, args))
     states = solution_stream(METHODS[args.method], dt, InitialValueProblem(run.equation, run.initial))
-    _write_lines(args.out, chain((run.header,), map(_csv_row, map(run.row, islice(states, steps + 1)))))
+    _write_csv(args.out, run.header, map(run.row, islice(states, steps + 1)))
 
 
 def _make_field(args: argparse.Namespace) -> VectorField:
@@ -222,13 +248,12 @@ def _axis_values(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
-def _grid_lines(field: VectorField, xs: list[float], ys: list[float], zs: list[float]) -> Iterator[str]:
-    """The CSV header, then one row per grid point, z varying fastest."""
-    yield "x,y,z,Fx,Fy,Fz"
+def _grid_rows(field: VectorField, xs: list[float], ys: list[float], zs: list[float]) -> Iterator[tuple[float, ...]]:
+    """One row ``(x, y, z, Fx, Fy, Fz)`` per grid point, z varying fastest."""
     for x in xs:
         for y in ys:
             for z in zs:
-                yield _csv_row((x, y, z, *field(Position(x, y, z))))
+                yield (x, y, z, *field(Position(x, y, z)))
 
 
 def _cmd_field_grid(args: argparse.Namespace) -> None:
@@ -240,7 +265,7 @@ def _cmd_field_grid(args: argparse.Namespace) -> None:
         if not all(map(math.isfinite, values)):  # the span overflows: the grid, not the field, is at fault
             raise ValueError(f"grid {axis} points are not finite: --{axis}-min and --{axis}-max are too far apart")
         axes.append(values)
-    _write_lines(args.out, _grid_lines(_make_field(args), *axes))
+    _write_csv(args.out, "x,y,z,Fx,Fy,Fz", _grid_rows(_make_field(args), *axes))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -26,7 +26,7 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import DomainError
-from .vectors import Position, Vec3, ZERO, displacement, format_scalar
+from .vectors import Position, Vec3, ZERO, displacement, format_row
 
 __all__ = [
     "COULOMB_CONSTANT",
@@ -173,7 +173,7 @@ def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
     """``value``, or :class:`DomainError` naming the point ``p`` if a component is not finite."""
     if all(map(math.isfinite, value)):
         return value
-    raise DomainError(f"field is not finite at {','.join(map(format_scalar, p))}")
+    raise DomainError(f"field is not finite at {format_row(map(float, p))}")
 
 
 def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> None:
@@ -185,7 +185,7 @@ def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> No
         f = min(along / squared, 1.0) if along > 0.0 and squared > 0.0 else 0.0
         nearest = (ax + f * cx, ay + f * cy, az + f * cz)
         if min(math.dist(p, (sx, sy, sz)), math.dist(p, nearest)) < ON_SOURCE_DISTANCE:
-            raise DomainError(f"field point on source at {','.join(map(format_scalar, p))}")
+            raise DomainError(f"field point on source at {format_row(map(float, p))}")
 
 
 def electric_field_of_line_charge(

@@ -16,7 +16,7 @@ hand-written class with three slots: a record decorator would load
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Vec3",
@@ -26,6 +26,7 @@ __all__ = [
     "Y_HAT",
     "Z_HAT",
     "displacement",
+    "format_row",
     "format_scalar",
     "parse_triple",
 ]
@@ -151,16 +152,19 @@ def displacement(start: Position, end: Position) -> Vec3:
     return Vec3(end.x - start.x, end.y - start.y, end.z - start.z)
 
 
-def format_scalar(value: float) -> str:
-    """Shortest decimal string that parses back to the same double.
+def format_row(values: Iterable[float]) -> str:
+    """The values joined by commas, each the shortest decimal that parses back to the same double.
 
-    Integral values drop the trailing ``.0`` so CSV output reads
-    ``0,1,0`` rather than ``0.0,1.0,0.0``.
+    Integral values drop the trailing ``.0``, in one pass over the joined
+    text, so CSV output reads ``0,1,0`` rather than ``0.0,1.0,0.0``.
+    Floats only: the repr of an int or a numpy scalar differs.
     """
-    text = repr(float(value))
-    if text.endswith(".0"):
-        return text[:-2]
-    return text
+    return (",".join(map(repr, values)) + ",").replace(".0,", ",")[:-1]
+
+
+def format_scalar(value: float) -> str:
+    """One value as :func:`format_row` writes it, after conversion to float."""
+    return format_row((float(value),))
 
 
 def parse_triple(text: str) -> tuple[float, float, float]:

@@ -13,9 +13,10 @@ exits 1 if a run fails or any module of ``FORBIDDEN`` is among them.
 
 import sys
 
-# No run needs either: dataclasses, with inspect, ast, dis and tokenize
-# under it, was over a third of the CPU the package added to start-up.
-FORBIDDEN = ("dataclasses", "inspect")
+# No short run needs these: dataclasses, with inspect, ast, dis and tokenize
+# under it, was over a third of the CPU the package added to start-up, and
+# tempfile is for CSV output past the first MiB only.
+FORBIDDEN = ("dataclasses", "inspect", "tempfile")
 RUNS = (["simulate", "sho", "--steps", "0"], ["field", "b-loop", "--at", "0,0,1"])
 
 

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from mechfield import cli
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from mechfield.fields import circular_loop, magnetic_field_of_line_current
 from mechfield.scenarios import SCENARIOS
-from mechfield.vectors import Position, format_scalar
+from mechfield.vectors import Position, format_row, format_scalar
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -308,6 +309,59 @@ def test_read_only_out_is_refused_exactly_when_it_cannot_be_opened_for_writing(t
     else:
         assert code == EXIT_IO and str(path) in err and calls == []
         assert path.read_bytes() == b"earlier bytes\n"
+
+
+# --- spooled output: stdout, devices and pipes ------------------------------------
+
+# simulate spring-chain: 2 steps make 23 kB of CSV, 150 steps 1.3 MB, past the spool's memory
+SPOOL_SIZES = {"under": "2", "over": "150"}
+
+
+@pytest.mark.parametrize("size", sorted(SPOOL_SIZES))
+def test_stdout_and_a_named_pipe_get_the_bytes_of_out(tmp_path, capsys, size):
+    argv = ["simulate", "spring-chain", "--steps", SPOOL_SIZES[size]]
+    path, pipe = tmp_path / "x.csv", tmp_path / "pipe"
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    expected = path.read_bytes()
+    assert (len(expected) > cli.SPOOL_MEMORY) == (size == "over")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.encode()) == (EXIT_OK, expected)
+    os.mkfifo(pipe)
+    assert read_fifo_while(pipe, lambda: main([*argv, "--out", str(pipe)])) == (EXIT_OK, expected)
+
+
+def test_run_failing_past_the_spool_memory_prints_nothing(capsys, monkeypatch):
+    spools, make_temporary_file = [], tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        spools.append(make_temporary_file(*args, **kwargs))
+        return spools[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    # Euler at dt 10 overflows the chain at step 133, after 1.2 MB of rows
+    code, out, err = run_cli(capsys, "simulate", "spring-chain", "--method", "euler", "--dt", "10", "--steps", "1000")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "not finite at step 133" in err
+    assert len(spools) == 1 and spools[0].closed
+
+
+# Prints the run's peak resident set size (KiB on Linux) on stderr after its exit code is known.
+PEAK_CHILD = ("import resource, sys; from mechfield.cli import main; code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)")
+
+
+def test_stdout_peak_memory_is_near_that_of_out(tmp_path):
+    # 5.3 MB of CSV: held whole, it took 11-15 MiB more than --out; spooled, 2-3.5 MiB
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-c", PEAK_CHILD, "simulate", "spring-chain", "--steps", "600"]
+    path = tmp_path / "x.csv"
+    children = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                for command in (argv, [*argv, "--out", str(path)])]
+    (out, to_stdout), (_, to_out) = (child.communicate(timeout=120) for child in children)
+    assert [child.returncode for child in children] == [EXIT_OK, EXIT_OK]
+    assert out == path.read_bytes()
+    assert int(to_stdout) - int(to_out) < 5 * 1024
 
 
 def test_simulate_unknown_scenario_is_usage_error(capsys):
@@ -661,15 +715,23 @@ def test_grid_rejects_bad_count(capsys):
 # --- row formatting ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("row", [
+ROWS = [
     (-0.0, 0.0, 1e16, 1e15, 1e-5, 5e-324, sys.float_info.max),
     (-sys.float_info.max, 1.0, -2.0, 10.0, 100.0, 0.5, 1e22, 123456789.0),
     (0.1, 1.05, 2.0e-5, 3.0, 1.0e-300, -1e300),
     (7.0,), (0.25,), (),
     tuple(float(i) * 0.5 - 150.0 for i in range(601)),
-])
+]
+
+
+@pytest.mark.parametrize("row", ROWS)
 def test_csv_row_writes_each_value_as_format_scalar(row):
-    assert cli._csv_row(row) == ",".join(map(format_scalar, row))
+    assert format_row(row) == ",".join(map(format_scalar, row))
+
+
+@pytest.mark.parametrize("row", [*ROWS, (math.inf, -math.inf, math.nan, 0, -3, 10**22)])
+def test_format_scalar_is_format_row_of_one_float(row):
+    assert [format_scalar(value) for value in row] == [format_row((float(value),)) for value in row]
 
 
 # --- scenario registry (the CLI-facing interface) ----------------------------------

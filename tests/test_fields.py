@@ -216,6 +216,13 @@ class TestElectricField:
         with pytest.raises(DomainError, match="^field is not finite at 0,0,2$"):
             field(Position(0.0, 0.0, 2.0))
 
+    def test_errors_name_a_point_of_int_coordinates_as_floats(self):
+        field = electric_field_of_line_charge(lambda p: 1e300, line_segment(1.0), 2)
+        with pytest.raises(DomainError, match="^field point on source at 0,0,0$"):
+            field(Position(0, 0, 0))
+        with pytest.raises(DomainError, match="^field is not finite at 0,0,-2$"):
+            field(Position(0, 0, -2))
+
 
 class TestMagneticField:
     def test_on_axis_oracle(self):

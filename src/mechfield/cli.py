@@ -50,7 +50,7 @@ from .solver import (
     rk4_method,
     solution_stream,
 )
-from .vectors import Position, format_row, format_scalar, parse_triple
+from .vectors import Position, format_row
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,13 +100,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _point(text: str) -> Position:
+    """argparse type for ``--at``: three comma-separated numbers, each a :func:`_finite_float`."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected 'x,y,z', got {text!r}")
+    return Position(*map(_finite_float, parts))
+
+
 def _add_param_flags(parser: argparse._ActionsContainer, owners: Mapping[str, Scenario | _FieldSource]) -> None:
     """One optional flag per parameter each owner declares: int for an int default, a finite float otherwise."""
     for owner, declaring in owners.items():
         for name, param in declaring.params.items():
             kind = int if isinstance(param.default, int) else _finite_float
             parser.add_argument(f"--{name}", type=kind,
-                                help=f"{owner}: {param.help} (default {format_scalar(param.default)})")
+                                help=f"{owner}: {param.help} (default {format_row((float(param.default),))})")
 
 
 @functools.cache  # built once per process; every parse makes its own Namespace
@@ -132,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("kind", choices=FIELD_SOURCES, help="field source kind")
         _add_param_flags(p, FIELD_SOURCES)
         p.add_argument("--intervals", type=int, default=1000, help="quadrature intervals (default %(default)s)")
-    field.add_argument("--at", required=True, metavar="X,Y,Z", help="field point, meters")
+    field.add_argument("--at", type=_point, required=True, metavar="X,Y,Z", help="field point, meters")
     field.set_defaults(handler=_cmd_field)
 
     for axis in "xyz":
@@ -235,11 +243,7 @@ def _make_field(args: argparse.Namespace) -> VectorField:
 
 
 def _cmd_field(args: argparse.Namespace) -> None:
-    try:
-        point = Position(*parse_triple(args.at))
-    except ValueError as exc:
-        raise ValueError(f"bad --at value: {exc}") from None
-    print(",".join(f"{component:.9g}" for component in _make_field(args)(point)))
+    print(",".join(f"{component:.9g}" for component in _make_field(args)(args.at)))
 
 
 def _axis_values(lo: float, hi: float, count: int) -> list[float]:

@@ -89,7 +89,7 @@ def circular_loop(radius: float) -> Curve:
     Traversed counterclockwise as seen from +z, parameter running 0 to 2 pi.
     """
     if radius <= 0.0:
-        raise DomainError("loop radius must be positive")
+        raise ValueError("loop radius must be positive")
 
     def point(t: float) -> Position:
         return Position(radius * math.cos(t), radius * math.sin(t), 0.0)
@@ -100,7 +100,7 @@ def circular_loop(radius: float) -> Curve:
 def line_segment(length: float) -> Curve:
     """Straight segment of the given length along the z axis, centered on the origin."""
     if length <= 0.0:
-        raise DomainError("segment length must be positive")
+        raise ValueError("segment length must be positive")
     return Curve(lambda t: Position(0.0, 0.0, t), -length / 2.0, length / 2.0)
 
 

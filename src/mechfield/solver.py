@@ -27,7 +27,7 @@ from math import isfinite
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
-from .vectors import format_scalar
+from .vectors import format_row
 
 __all__ = [
     "State",
@@ -135,7 +135,7 @@ def solution_stream(method: EvolutionMethod, dt: float, problem: InitialValuePro
     equation, state = problem
     for step in count():
         if not isfinite(sum(state)) and not all(map(isfinite, state)):  # the sum alone may overflow
-            raise DomainError(f"state is not finite at step {step}, t = {format_scalar(state[0])}")
+            raise DomainError(f"state is not finite at step {step}, t = {format_row((state[0],))}")
         yield state
         try:
             state = method(equation, dt, state)

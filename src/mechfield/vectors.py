@@ -27,8 +27,6 @@ __all__ = [
     "Z_HAT",
     "displacement",
     "format_row",
-    "format_scalar",
-    "parse_triple",
 ]
 
 
@@ -161,21 +159,3 @@ def format_row(values: Iterable[float]) -> str:
     """
     return (",".join(map(repr, values)) + ",").replace(".0,", ",")[:-1]
 
-
-def format_scalar(value: float) -> str:
-    """One value as :func:`format_row` writes it, after conversion to float."""
-    return format_row((float(value),))
-
-
-def parse_triple(text: str) -> tuple[float, float, float]:
-    """Parse the ``x,y,z`` text form used on the CLI and in CSV files.
-
-    Raises ValueError for anything but three comma-separated finite numbers.
-    """
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected 'x,y,z', got {text!r}")
-    values = tuple(float(p) for p in parts)
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"components must be finite, got {text!r}")
-    return values

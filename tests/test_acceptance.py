@@ -311,6 +311,10 @@ def test_c10_cli_contract(tmp_path, capsys):
         (EXIT_USAGE, ("simulate", "no-such-scenario",)),
         (EXIT_USAGE, ("simulate", "sho", "--no-such-flag",)),
         (EXIT_USAGE, ("simulate", "sho", "--dt", "-1")),
+        (EXIT_USAGE, ("field", "e-line", "--length", "0", "--at", "1,0,0")),
+        (EXIT_USAGE, ("field", "b-loop", "--radius", "-1", "--at", "0,0,1")),
+        (EXIT_USAGE, ("field-grid", "b-loop", "--radius", "0")),
+        (EXIT_USAGE, ("field-grid", "e-line", "--length", "-2")),
         (EXIT_DOMAIN, ("field", "e-line", "--length", "1", "--intervals", "999", "--at", "0,0,0")),
     )
     for expected, argv in checks:

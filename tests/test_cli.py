@@ -15,7 +15,7 @@ from mechfield import cli
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from mechfield.fields import circular_loop, magnetic_field_of_line_current
 from mechfield.scenarios import SCENARIOS
-from mechfield.vectors import Position, format_row, format_scalar
+from mechfield.vectors import Position, format_row
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -560,10 +560,11 @@ def test_closed_loop_in_fewer_than_three_pieces_is_usage_error(capsys, radius, i
     assert err == f"error: a closed curve needs at least 3 intervals, got {intervals}\n"
 
 
-def test_field_bad_at_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "field", "b-loop", "--at", "1,2")
-    assert code == EXIT_USAGE
-    assert "--at" in err
+@pytest.mark.parametrize("at", ["1,2", "1,2,3,4", "1,two,3", "1,nan,3", "inf,0,0"])
+def test_field_bad_at_is_usage_error(capsys, at):
+    code, out, err = run_cli(capsys, "field", "b-loop", "--at", at)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --at: " in err
 
 
 def test_field_unknown_kind_is_usage_error(capsys):
@@ -726,12 +727,7 @@ ROWS = [
 
 @pytest.mark.parametrize("row", ROWS)
 def test_csv_row_writes_each_value_as_format_scalar(row):
-    assert format_row(row) == ",".join(map(format_scalar, row))
-
-
-@pytest.mark.parametrize("row", [*ROWS, (math.inf, -math.inf, math.nan, 0, -3, 10**22)])
-def test_format_scalar_is_format_row_of_one_float(row):
-    assert [format_scalar(value) for value in row] == [format_row((float(value),)) for value in row]
+    assert format_row(row) == ",".join(format_row((value,)) for value in row)
 
 
 # --- scenario registry (the CLI-facing interface) ----------------------------------
@@ -804,7 +800,7 @@ def test_help_states_each_declared_default(capsys, monkeypatch, command):
     lines = out.splitlines()
     for owner, declaring in owners.items():
         for param in declaring.params.values():
-            text = f"{owner}: {param.help} (default {format_scalar(param.default)})"
+            text = f"{owner}: {param.help} (default {format_row((float(param.default),))})"
             assert any(line.endswith(f" {text}") for line in lines), text
 
 

@@ -6,8 +6,7 @@ unwritable ``--out`` paths mixed in, and every run must end with exit 0,
 2, 3 or 4 and never raise. The runs are kept small (few steps, grid points
 and quadrature intervals), the examples are derandomized, and nothing is
 stored between runs. The CSV row formatter must write any finite floats as
-:func:`format_scalar` writes each one, and any float alone as
-:func:`format_scalar` writes it.
+it writes each one alone.
 """
 
 import contextlib
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, METHODS, main
 from mechfield.scenarios import SCENARIOS
-from mechfield.vectors import format_row, format_scalar
+from mechfield.vectors import format_row
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_IO}
 
@@ -96,10 +95,4 @@ def test_field_grid_ends_with_a_documented_exit_code(kind, out_kind, data):
 @settings(max_examples=500, derandomize=True, database=None)
 @given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
 def test_csv_row_writes_each_value_as_format_scalar(row):
-    assert format_row(row) == ",".join(map(format_scalar, row))
-
-
-@settings(max_examples=200, derandomize=True, database=None)
-@given(value=st.floats())
-def test_format_scalar_is_format_row_of_one_value(value):
-    assert format_scalar(value) == format_row((value,))
+    assert format_row(row) == ",".join(format_row((value,)) for value in row)

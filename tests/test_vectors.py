@@ -16,8 +16,7 @@ from mechfield.vectors import (
     Z_HAT,
     ZERO,
     displacement,
-    format_scalar,
-    parse_triple,
+    format_row,
 )
 
 
@@ -240,33 +239,16 @@ class TestAlgebraProperties:
 
 class TestTextForm:
     def test_integral_values_drop_point_zero(self):
-        assert format_scalar(0.0) == "0"
-        assert format_scalar(1.0) == "1"
-        assert format_scalar(-2.0) == "-2"
+        assert format_row((0.0,)) == "0"
+        assert format_row((1.0,)) == "1"
+        assert format_row((-2.0,)) == "-2"
 
     def test_fractions_keep_shortest_form(self):
-        assert format_scalar(0.1) == "0.1"
-        assert format_scalar(1e-07) == "1e-07"
+        assert format_row((0.1,)) == "0.1"
+        assert format_row((1e-07,)) == "1e-07"
 
     def test_round_trip(self):
         rng = random.Random(7)
         for _ in range(1000):
             x = rng.uniform(-1, 1) * 10 ** rng.randint(-20, 20)
-            assert float(format_scalar(x)) == x
-
-    def test_parse_triple(self):
-        assert parse_triple("1,2.5,-3e2") == (1.0, 2.5, -300.0)
-
-    def test_parse_triple_wrong_count(self):
-        with pytest.raises(ValueError):
-            parse_triple("1,2")
-
-    def test_parse_triple_not_a_number(self):
-        with pytest.raises(ValueError):
-            parse_triple("1,two,3")
-
-    def test_parse_triple_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            parse_triple("1,nan,3")
-        with pytest.raises(ValueError):
-            parse_triple("inf,0,0")
+            assert float(format_row((x,))) == x

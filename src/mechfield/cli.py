@@ -14,10 +14,11 @@ invocations give byte-identical output. It streams to every destination:
 a regular file through a sibling renamed onto it, stdout or a device
 through a spool that moves from memory to a temporary file past its
 first MiB. Commands raise, and :func:`main` maps the error to
-the exit code: 2 for usage errors (``ValueError``), 3 for domain errors
+the exit code: 2 for usage errors (``ValueError``, or ``OverflowError``
+from an int flag beyond the float range), 3 for domain errors
 (``DomainError``, which the library raises for a point on a field's source
-or a state or field value that is not finite, naming the step or point),
-4 when ``--out`` or the spool cannot be written.
+or too far from it, or a state or field value that is not finite, naming
+the step or point), 4 when ``--out`` or the spool cannot be written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import os
 import stat
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -86,7 +87,8 @@ FIELD_SOURCES = {
 }
 
 # Exit code per error a command raises, first match wins (DomainError is a ValueError).
-EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OSError, EXIT_IO))
+# An OverflowError comes only from an int flag too large to turn into a float.
+EXIT_CODES = ((DomainError, EXIT_DOMAIN), (ValueError, EXIT_USAGE), (OverflowError, EXIT_USAGE), (OSError, EXIT_IO))
 
 
 def _finite_float(text: str) -> float:
@@ -246,30 +248,19 @@ def _cmd_field(args: argparse.Namespace) -> None:
     print(",".join(f"{component:.9g}" for component in _make_field(args)(args.at)))
 
 
-def _axis_values(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1:
-        return [lo]
-    return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
-
-
-def _grid_rows(field: VectorField, xs: list[float], ys: list[float], zs: list[float]) -> Iterator[tuple[float, ...]]:
-    """One row ``(x, y, z, Fx, Fy, Fz)`` per grid point, z varying fastest."""
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                yield (x, y, z, *field(Position(x, y, z)))
-
-
 def _cmd_field_grid(args: argparse.Namespace) -> None:
     if min(args.x_count, args.y_count, args.z_count) < 1:
         raise ValueError("grid counts must be >= 1")
     axes = []
     for axis in "xyz":
-        values = _axis_values(*(getattr(args, f"{axis}_{end}") for end in ("min", "max", "count")))
+        lo, hi, count = (getattr(args, f"{axis}_{end}") for end in ("min", "max", "count"))
+        values = [lo] if count == 1 else [lo + i * (hi - lo) / (count - 1) for i in range(count)]
         if not all(map(math.isfinite, values)):  # the span overflows: the grid, not the field, is at fault
             raise ValueError(f"grid {axis} points are not finite: --{axis}-min and --{axis}-max are too far apart")
         axes.append(values)
-    _write_csv(args.out, "x,y,z,Fx,Fy,Fz", _grid_rows(_make_field(args), *axes))
+    field = _make_field(args)
+    # product varies its last axis fastest: one row (x, y, z, Fx, Fy, Fz) per point, z fastest
+    _write_csv(args.out, "x,y,z,Fx,Fy,Fz", ((*point, *field(Position(*point))) for point in product(*axes)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -279,7 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
     return EXIT_OK

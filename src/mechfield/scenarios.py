@@ -73,11 +73,10 @@ class Param(NamedTuple):
 class Scenario(NamedTuple):
     """Registry entry: parameter declarations plus a builder from parameters to a run.
 
-    An immutable record, like :class:`ScenarioRun`: ``_replace`` makes a
-    changed copy.
+    Its name is its key in ``SCENARIOS``. An immutable record, like
+    :class:`ScenarioRun`: ``_replace`` makes a changed copy.
     """
 
-    name: str
     dt: float
     steps: int
     params: Mapping[str, Param]
@@ -165,64 +164,40 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
 
 
 SCENARIOS: dict[str, Scenario] = {
-    scenario.name: scenario
-    for scenario in (
-        Scenario(
-            name="sho",
-            dt=0.01,
-            steps=1000,
-            params={},
-            build=_build_sho,
-        ),
-        Scenario(
-            name="ddho",
-            dt=0.01,
-            steps=1000,
-            params={
-                "beta": Param(0.0, "damping constant, kg/s"),
-                "amp": Param(1.0, "drive amplitude, N"),
-                "omega": Param(0.7, "drive angular frequency, rad/s"),
-            },
-            build=_build_ddho,
-        ),
-        Scenario(
-            name="satellite",
-            dt=1.0,
-            steps=5828,
-            params={},
-            build=_build_satellite,
-        ),
-        Scenario(
-            name="pendulum",
-            dt=0.01,
-            steps=1000,
-            params={
-                "g": Param(9.8, "gravitational acceleration, m/s^2"),
-                "length": Param(1.0, "arm length, m"),
-                "theta0": Param(0.2, "initial angle, rad"),
-                "omega0": Param(0.0, "initial angular velocity, rad/s"),
-            },
-            build=_build_pendulum,
-        ),
-        Scenario(
-            name="three-body",
-            dt=3600.0,
-            steps=8766,
-            params={},
-            build=_build_three_body,
-        ),
-        Scenario(
-            name="spring-chain",
-            dt=0.1,
-            steps=2000,
-            params={
-                "particles": Param(100, "particle count"),
-                "k": Param(1.0, "spring constant, N/m"),
-                "spacing": Param(1.0, "lattice spacing, m"),
-                "mass": Param(1.0, "particle mass, kg"),
-                "amplitude": Param(0.1, "pluck amplitude, m"),
-            },
-            build=_build_spring_chain,
-        ),
-    )
+    "sho": Scenario(dt=0.01, steps=1000, params={}, build=_build_sho),
+    "ddho": Scenario(
+        dt=0.01,
+        steps=1000,
+        params={
+            "beta": Param(0.0, "damping constant, kg/s"),
+            "amp": Param(1.0, "drive amplitude, N"),
+            "omega": Param(0.7, "drive angular frequency, rad/s"),
+        },
+        build=_build_ddho,
+    ),
+    "satellite": Scenario(dt=1.0, steps=5828, params={}, build=_build_satellite),
+    "pendulum": Scenario(
+        dt=0.01,
+        steps=1000,
+        params={
+            "g": Param(9.8, "gravitational acceleration, m/s^2"),
+            "length": Param(1.0, "arm length, m"),
+            "theta0": Param(0.2, "initial angle, rad"),
+            "omega0": Param(0.0, "initial angular velocity, rad/s"),
+        },
+        build=_build_pendulum,
+    ),
+    "three-body": Scenario(dt=3600.0, steps=8766, params={}, build=_build_three_body),
+    "spring-chain": Scenario(
+        dt=0.1,
+        steps=2000,
+        params={
+            "particles": Param(100, "particle count"),
+            "k": Param(1.0, "spring constant, N/m"),
+            "spacing": Param(1.0, "lattice spacing, m"),
+            "mass": Param(1.0, "particle mass, kg"),
+            "amplitude": Param(0.1, "pluck amplitude, m"),
+        },
+        build=_build_spring_chain,
+    ),
 }

@@ -396,12 +396,29 @@ def test_simulate_rejects_steps_islice_cannot_count(tmp_path, capsys, steps):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["name", "dt", "steps", "params", "build"])
+@pytest.mark.parametrize("name", ["dt", "steps", "params", "build"])
 def test_scenario_field_cannot_be_assigned(name):
     scenario = SCENARIOS["ddho"]
     with pytest.raises(AttributeError):
         setattr(scenario, name, None)
     assert scenario.dt == 0.01 and scenario.defaults == {"beta": 0.0, "amp": 1.0, "omega": 0.7}
+
+
+BEYOND_FLOAT = "1" + "0" * 320  # an int that float() refuses with OverflowError
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "spring-chain", "--particles", BEYOND_FLOAT, "--steps", "0"),
+    ("field", "b-loop", "--intervals", BEYOND_FLOAT, "--at", "0,0,0"),
+    ("field-grid", "b-loop", "--x-count", BEYOND_FLOAT),
+], ids=["particles", "intervals", "x-count"])
+def test_int_flag_beyond_the_float_range_is_usage_error(tmp_path, capsys, argv):
+    # refused before anything is allocated: the chain's anchor, the piece width or the grid step is the first float
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "field" else []
+    code, stdout, err = run_cli(capsys, *argv, *out)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_bad_parameter_values(capsys):
@@ -529,6 +546,25 @@ def test_field_overflow_is_domain_error(capsys):
 ], ids=["overflow", "on-source"])
 def test_field_domain_error_names_the_point(capsys, argv, message):
     assert run_cli(capsys, "field", "e-line", *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(("source", "point"), [
+    (("b-loop", "--radius", "1e150"), (0.0, 0.0, 0.0)),
+    (("e-line",), (1e110, 0.0, 0.0)),
+], ids=["b-loop-radius-1e150", "e-line-at-1e110"])
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+def test_field_point_too_far_from_the_source_is_domain_error(capsys, command, source, point):
+    # each term's cubed distance would overflow to inf and the term to 0: the answer would be a silent 0,0,0
+    if command == "field":
+        where = ("--at", format_row(point))
+    else:
+        where = tuple(f"--{axis}-{end}={value!r}" for axis, value in zip("xyz", point) for end in ("min", "max"))
+    code, out, err = run_cli(capsys, command, *source, *where)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: field point too far from the source at {format_row(point)}\n"
+    # nearer than 1e102 m the field is computed: mu0 I / 2R at the center of a 1e100 m loop
+    assert run_cli(capsys, "field", "b-loop", "--radius", "1e100", "--at", "0,0,0") == (
+        EXIT_OK, "0,0,6.28317497e-107\n", "")
 
 
 def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):
@@ -726,7 +762,7 @@ ROWS = [
 
 
 @pytest.mark.parametrize("row", ROWS)
-def test_csv_row_writes_each_value_as_format_scalar(row):
+def test_csv_row_writes_each_value_as_format_row_of_one_value(row):
     assert format_row(row) == ",".join(format_row((value,)) for value in row)
 
 
@@ -737,6 +773,14 @@ def test_registry_lists_all_scenarios():
     from mechfield.scenarios import SCENARIOS
 
     assert set(SCENARIOS) == {"sho", "ddho", "satellite", "pendulum", "three-body", "spring-chain"}
+
+
+def test_scenario_is_named_once_by_its_key():
+    from mechfield.scenarios import Scenario
+
+    assert Scenario._fields == ("dt", "steps", "params", "build")
+    # the registry's order is the order of the scenario parameter flags in `simulate --help`
+    assert list(SCENARIOS) == ["sho", "ddho", "satellite", "pendulum", "three-body", "spring-chain"]
 
 
 def test_registry_entries_expose_run_schema():

@@ -27,10 +27,12 @@ bounded = settings(max_examples=50, derandomize=True, deadline=None, database=No
 
 # Flag values as text: mostly small finite numbers, sometimes any float
 # (nan, inf and 1e308 included) or text that is not a finite number.
+BEYOND_FLOAT = "1" + "0" * 399  # 400 digits, an int flag float() cannot hold: refused before anything is allocated
 small = st.floats(-10.0, 10.0).map(repr)
 positive = st.floats(0.01, 10.0).map(repr)
 number = st.one_of(positive, positive, small, st.floats().map(repr), st.sampled_from(["1e400", "nan", "x", ""]))
-count = st.one_of(st.integers(0, 3).map(str), st.integers(0, 3).map(str), st.sampled_from(["-1", "1.5", "x"]))
+count = st.one_of(st.integers(0, 3).map(str), st.integers(0, 3).map(str),
+                  st.sampled_from(["-1", "1.5", "x", BEYOND_FLOAT]))
 point = st.one_of(st.tuples(small, small, small).map(",".join), st.sampled_from(["0,0,0", "1,2", "1,nan,0"]))
 
 # Where --out points, in a fresh directory: nowhere (stdout), a new file,
@@ -39,7 +41,7 @@ OUT_KINDS = (None, "new.csv", "existing.csv", "missing/x.csv", ".")
 
 PARAMETERS = {name: scenario.params for name, scenario in SCENARIOS.items()}
 SOURCE_FLAGS = {"lambda": number, "length": number, "current": number, "radius": number,
-                "intervals": st.integers(-1, 40).map(str)}
+                "intervals": st.one_of(st.integers(-1, 40).map(str), st.just(BEYOND_FLOAT))}
 GRID_FLAGS = {
     **SOURCE_FLAGS,
     **{f"{axis}-{end}": number for axis in "xyz" for end in ("min", "max")},
@@ -94,5 +96,5 @@ def test_field_grid_ends_with_a_documented_exit_code(kind, out_kind, data):
 
 @settings(max_examples=500, derandomize=True, database=None)
 @given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
-def test_csv_row_writes_each_value_as_format_scalar(row):
+def test_csv_row_writes_each_value_as_format_row_of_one_value(row):
     assert format_row(row) == ",".join(format_row((value,)) for value in row)

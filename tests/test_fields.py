@@ -298,6 +298,23 @@ class TestMagneticField:
         assert field(Position(0.5, 0.5, 1e-9)).magnitude() > 0.0  # 1e-9 m off a chord is off the source
 
 
+class TestFarPoints:
+    """A point some 1e102 m from the source is refused: its terms' cubed distances would overflow to a silent 0."""
+
+    def test_electric_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
+        field = electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0))
+        with pytest.raises(DomainError, match=r"^field point too far from the source at 1e\+103,0,0$"):
+            field(Position(1e103, 0.0, 0.0))
+        # 1 nC seen from 1e100 m away: a point charge
+        assert field(Position(1e100, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * 1e-9 / 1e200, rel=1e-9)
+
+    def test_magnetic_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
+        field = magnetic_field_of_line_current(1.0, circular_loop(1.0))
+        with pytest.raises(DomainError, match=r"^field point too far from the source at 0,0,1e\+103$"):
+            field(Position(0.0, 0.0, 1e103))
+        assert field(Position(0.0, 0.0, 1e100)).z == pytest.approx(loop_field_on_axis(1.0, 1.0, 1e100), rel=1e-3)
+
+
 # --- build once, evaluate many -------------------------------------------------
 
 

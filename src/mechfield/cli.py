@@ -45,7 +45,6 @@ from .fields import (
 )
 from .scenarios import SCENARIOS, Param, Scenario
 from .solver import (
-    InitialValueProblem,
     euler_cromer_method,
     euler_method,
     rk4_method,
@@ -236,7 +235,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     if steps > sys.maxsize - 1:  # islice stops at steps + 1, which may not pass sys.maxsize
         raise ValueError(f"--steps must be at most {sys.maxsize - 1}")
     run = scenario.build(_resolve("scenario", SCENARIOS, args.scenario, args))
-    states = solution_stream(METHODS[args.method], dt, InitialValueProblem(run.equation, run.initial))
+    states = solution_stream(METHODS[args.method], dt, run.equation, run.initial)
     _write_csv(args.out, run.header, map(run.row, islice(states, steps + 1)))
 
 

@@ -45,13 +45,17 @@ def satellite_accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[f
 
     Inverse-square gravity of magnitude G M / |r|^2 pointing back along
     the displacement; depends only on where the satellite is, not on the
-    time or its velocity.
+    time or its velocity. The origin, and beyond about 5.6e102 m, where
+    |r|^3 overflows, are a :class:`DomainError`.
     """
     x, y, z = q
     dist = math.sqrt(x * x + y * y + z * z)
     if dist == 0.0:
         raise DomainError("satellite at origin")
-    scale = -GRAVITATIONAL_CONSTANT * EARTH_MASS / (dist * dist * dist)
+    cube = dist * dist * dist
+    if cube == math.inf:  # dividing by it would make the pull a silent 0
+        raise DomainError("satellite too far from the origin")
+    scale = -GRAVITATIONAL_CONSTANT * EARTH_MASS / cube
     return (x * scale, y * scale, z * scale)
 
 
@@ -92,7 +96,8 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     The returned function expects exactly ``len(masses)`` particles and
     gives particle i the acceleration sum over j != i of
     G m_j (r_j - r_i) / |r_j - r_i|^3. There is no softening: particles
-    closer than 1e-6 m are a :class:`DomainError`, not a silent fudge.
+    closer than 1e-6 m, or beyond about 5.6e102 m where the cube overflows,
+    are a :class:`DomainError`, not a silent fudge or a silent 0.
     """
     ms = tuple(float(m) for m in masses)
     if not ms or any(m <= 0.0 for m in ms):
@@ -116,7 +121,10 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
                 dist = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
-                scale = GRAVITATIONAL_CONSTANT * ms[j] / (dist * dist * dist)
+                cube = dist * dist * dist
+                if cube == math.inf:
+                    raise DomainError("gravitating bodies too far apart")
+                scale = GRAVITATIONAL_CONSTANT * ms[j] / cube
                 ax = ax + dx * scale
                 ay = ay + dy * scale
                 az = az + dz * scale

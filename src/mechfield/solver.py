@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import count
 from math import isfinite
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
 from .vectors import format_row
@@ -34,7 +34,6 @@ __all__ = [
     "AccelerationFunction",
     "DifferentialEquation",
     "EvolutionMethod",
-    "InitialValueProblem",
     "second_order_equation",
     "euler_cromer_method",
     "euler_method",
@@ -52,13 +51,6 @@ AccelerationFunction = Callable[[float, State, State], Sequence[float]]
 # method advances a state through a finite time interval using one.
 DifferentialEquation = Callable[[State], State]
 EvolutionMethod = Callable[[DifferentialEquation, float, State], State]
-
-
-class InitialValueProblem(NamedTuple):
-    """A differential equation paired with the state to start from; any method solves it."""
-
-    equation: DifferentialEquation
-    initial: State
 
 
 def second_order_equation(accel: AccelerationFunction) -> DifferentialEquation:
@@ -122,17 +114,17 @@ def rk4_method(equation: DifferentialEquation, dt: float, y: State) -> State:
     ])
 
 
-def solution_stream(method: EvolutionMethod, dt: float, problem: InitialValueProblem) -> Iterator[State]:
-    """Unbounded stream of states solving an initial value problem.
+def solution_stream(method: EvolutionMethod, dt: float, equation: DifferentialEquation, initial: State) -> Iterator[State]:
+    """Unbounded stream of states solving ``equation`` from the state ``initial``.
 
-    Element 0 is the initial state; each later element applies the
-    evolution method to the previous one, computed on demand. Every call
+    Element 0 is ``initial``; each later element applies the evolution
+    method to the previous one, computed on demand. Every call
     builds a fresh stream, so consuming twice yields identical elements.
     Element k that is not finite raises ``DomainError`` naming k and its
     time instead, and a ``DomainError`` the method raises computing
     element k gains `` at step k``.
     """
-    equation, state = problem
+    state = initial
     for step in count():
         if not isfinite(sum(state)) and not all(map(isfinite, state)):  # the sum alone may overflow
             raise DomainError(f"state is not finite at step {step}, t = {format_row((state[0],))}")

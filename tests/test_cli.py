@@ -124,6 +124,13 @@ def test_overflow_inside_a_step_is_domain_error_naming_the_step(capsys, argv, me
     assert err == f"error: {message} is not finite at step 1\n"
 
 
+def test_satellite_too_far_to_cube_is_domain_error_naming_the_step(capsys):
+    # dt = 1e100 s flings the satellite about 8e200 m out at step 1; step 2's |r|^3 overflows
+    code, out, err = run_cli(capsys, "simulate", "satellite", "--dt", "1e100", "--steps", "2")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: satellite too far from the origin at step 2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "sho", "--steps", "2"),
     ("field-grid", "b-loop", "--intervals", "10"),
@@ -309,6 +316,21 @@ def test_read_only_out_is_refused_exactly_when_it_cannot_be_opened_for_writing(t
     else:
         assert code == EXIT_IO and str(path) in err and calls == []
         assert path.read_bytes() == b"earlier bytes\n"
+
+
+def test_existing_out_the_user_may_not_write_is_io_error(tmp_path, capsys, monkeypatch):
+    # the superuser may write any file, so os.access refuses this one path as it would for another user
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"earlier bytes\n")
+    path.chmod(0o444)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda name, mode, **kw: name != str(path) and access(name, mode, **kw))
+    code, out, err = run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(path))
+    assert (code, out) == (EXIT_IO, "")
+    assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o444
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
 
 
 # --- spooled output: stdout, devices and pipes ------------------------------------
@@ -855,8 +877,7 @@ def test_python_dash_m_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "mechfield", "simulate", "sho", "--steps", "2"],
+        [sys.executable, "-m", "mechfield", "simulate", "sho", "--steps", "0"],
         capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[0] == "t,x,y,z,vx,vy,vz"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t,x,y,z,vx,vy,vz\n0,1,0,0,0,0,0\n", "")

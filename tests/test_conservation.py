@@ -21,7 +21,7 @@ import pytest
 from mechfield.cli import METHODS
 from mechfield.mechanics import EARTH_MASS, GRAVITATIONAL_CONSTANT
 from mechfield.scenarios import MOON_MASS, SCENARIOS, SUN_MASS, THREE_BODY_EARTH_MASS
-from mechfield.solver import InitialValueProblem, solution_stream
+from mechfield.solver import solution_stream
 
 # Parameters over the defaults, and steps at the default dt. The two wide
 # scenarios run shorter: three-body of 8766 steps, spring-chain of 100
@@ -105,7 +105,7 @@ def largest_drift(name: str, method: str, halvings: int = 0, quantity: str = "en
     params, steps = RUNS[name]
     run = scenario.build({**scenario.defaults, **params})
     dt, steps = scenario.dt / 2**halvings, steps * 2**halvings
-    states = solution_stream(METHODS[method], dt, InitialValueProblem(run.equation, run.initial))
+    states = solution_stream(METHODS[method], dt, run.equation, run.initial)
     conserved = CONSERVED[name, quantity]
     start = conserved(run.initial)
     return max(math.dist(conserved(state), start) for state in islice(states, steps + 1)) / math.hypot(*start)

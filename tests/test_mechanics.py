@@ -16,7 +16,6 @@ from mechfield.mechanics import (
     spring_chain_accel,
 )
 from mechfield.solver import (
-    InitialValueProblem,
     euler_cromer_method,
     euler_method,
     rk4_method,
@@ -86,6 +85,16 @@ def test_satellite_accel_is_antiparallel_inverse_square():
 def test_satellite_accel_rejects_origin():
     with pytest.raises(DomainError, match="satellite at origin"):
         satellite_accel(0.0, ZERO, ZERO)
+
+
+def test_satellite_accel_refuses_a_distance_whose_cube_overflows():
+    # beyond about 5.6e102 m |r|^3 is inf, and dividing by it would make the pull a silent 0
+    for distance in (1e103, 1e160):
+        with pytest.raises(DomainError, match="^satellite too far from the origin$"):
+            satellite_accel(0.0, Vec3(distance, 0, 0), ZERO)
+    assert satellite_accel(0.0, Vec3(0, 0, 1e100), ZERO)[2] == pytest.approx(-G * EARTH_MASS / 1e200, rel=1e-12)
+    # a NaN distance is not refused here: the solution stream names the state that is not finite
+    assert all(map(math.isnan, satellite_accel(0.0, Vec3(math.nan, 0, 0), ZERO)))
 
 
 # --- damped driven oscillator ---------------------------------------------------
@@ -222,6 +231,16 @@ def test_gravity_singularity_is_an_error():
     state = system(0.0, [(ZERO, ZERO), (Vec3(1e-7, 0, 0), ZERO)])
     with pytest.raises(DomainError, match="gravitational singularity"):
         accel_at(accel, state)
+
+
+def test_gravity_refuses_bodies_whose_distance_cubed_overflows():
+    accel = gravity_accel([1e30, 1e30])
+    for distance in (1e103, 1e160):
+        with pytest.raises(DomainError, match="^gravitating bodies too far apart$"):
+            accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(distance, 0, 0), ZERO)]))
+    a1, a2 = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(1e100, 0, 0), ZERO)])))
+    assert a1.x == pytest.approx(G * 1e30 / 1e200, rel=1e-12)
+    assert a2 == -a1
 
 
 def test_gravity_rejects_wrong_particle_count():
@@ -475,8 +494,7 @@ def test_tx_pairs_sho_start_decreases():
     import itertools
 
     equation = second_order_equation(damped_driven_osc(0.0, 0.0, 0.0))
-    problem = InitialValueProblem(equation, one_particle_system(X_HAT, ZERO))
-    stream = solution_stream(euler_cromer_method, 0.01, problem)
+    stream = solution_stream(euler_cromer_method, 0.01, equation, one_particle_system(X_HAT, ZERO))
     pairs = [(state[0], state[1]) for state in itertools.islice(stream, 3)]
     xs = [x for _, x in pairs]
     assert xs[0] == 1.0

@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mechfield
 from mechfield import errors, fields, mechanics, solver, vectors
@@ -31,3 +34,16 @@ def test_startup_and_smallest_runs_import_neither_dataclasses_nor_inspect():
     assert "mechfield.cli" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    quick_start, integrator = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(quick_start, {})
+    *trajectory, field = capsys.readouterr().out.splitlines()
+    assert len(trajectory) == 5 and trajectory[0] == "0.0 1.0"
+    components = re.fullmatch(r"Vec3\(x=(\S+), y=(\S+), z=(\S+)\)", field).groups()
+    assert [float(c) for c in components] == pytest.approx([0.0, 0.0, 6.2832e-07], rel=1e-4, abs=1e-15)
+    namespace = {}
+    exec(integrator, namespace)
+    assert next(namespace["orbit"]) == (0.0, 7e6, 0.0, 0.0, 0.0, 7548.57, 0.0)

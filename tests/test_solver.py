@@ -11,7 +11,6 @@ from mechfield.errors import DomainError
 from mechfield.mechanics import damped_driven_osc, satellite_accel
 from mechfield.scenarios import SCENARIOS
 from mechfield.solver import (
-    InitialValueProblem,
     euler_cromer_method,
     euler_method,
     rk4_method,
@@ -246,15 +245,14 @@ def test_shift_laws_for_scalar_state():
 
 def test_stream_starts_at_initial_state():
     s0 = particle(0.0, X_HAT, ZERO)
-    problem = InitialValueProblem(second_order_equation(FREE), s0)
+    equation = second_order_equation(FREE)
     for method in METHODS.values():
-        assert next(solution_stream(method, 0.1, problem)) == s0
+        assert next(solution_stream(method, 0.1, equation, s0)) == s0
 
 
 def test_stream_matches_manual_iteration():
     a = Vec3(0, 0, -9.8)
-    problem = InitialValueProblem(second_order_equation(constant_accel(a)), particle(0.0, ZERO, X_HAT))
-    stream = solution_stream(euler_method, 0.05, problem)
+    stream = solution_stream(euler_method, 0.05, second_order_equation(constant_accel(a)), particle(0.0, ZERO, X_HAT))
     manual = particle(0.0, ZERO, X_HAT)
     for state in itertools.islice(stream, 20):
         assert state == manual
@@ -262,25 +260,23 @@ def test_stream_matches_manual_iteration():
 
 
 def test_stream_time_accumulates():
-    problem = InitialValueProblem(second_order_equation(FREE), particle(0.0, ZERO, ZERO))
-    states = list(itertools.islice(solution_stream(euler_method, 0.25, problem), 5))
+    stream = solution_stream(euler_method, 0.25, second_order_equation(FREE), particle(0.0, ZERO, ZERO))
+    states = list(itertools.islice(stream, 5))
     assert states[4][0] == 1.0
 
 
 def test_stream_reconsumption_is_identical():
-    problem = InitialValueProblem(
-        second_order_equation(constant_accel(Vec3(0.1, 0.2, 0.3))),
-        particle(0.0, Vec3(1, 1, 1), ZERO),
-    )
-    first = list(itertools.islice(solution_stream(rk4_method, 0.1, problem), 50))
-    second = list(itertools.islice(solution_stream(rk4_method, 0.1, problem), 50))
+    equation = second_order_equation(constant_accel(Vec3(0.1, 0.2, 0.3)))
+    initial = particle(0.0, Vec3(1, 1, 1), ZERO)
+    first = list(itertools.islice(solution_stream(rk4_method, 0.1, equation, initial), 50))
+    second = list(itertools.islice(solution_stream(rk4_method, 0.1, equation, initial), 50))
     assert first == second
 
 
 def test_stream_refuses_the_first_state_that_is_not_finite():
     # explicit Euler at dt = 10 s grows the unit oscillator until state 308 overflows
     equation = second_order_equation(damped_driven_osc(0.0, 0.0, 0.0))
-    stream = solution_stream(euler_method, 10.0, InitialValueProblem(equation, particle(0.0, X_HAT, ZERO)))
+    stream = solution_stream(euler_method, 10.0, equation, particle(0.0, X_HAT, ZERO))
     manual = particle(0.0, X_HAT, ZERO)
     for state in itertools.islice(stream, 308):
         assert state == manual
@@ -291,15 +287,15 @@ def test_stream_refuses_the_first_state_that_is_not_finite():
 
 
 def test_stream_refuses_a_non_finite_initial_state():
-    stream = solution_stream(euler_method, 0.1, InitialValueProblem(lambda y: (1.0, 0.0, 0.0), (0.5, math.nan, 0.0)))
+    stream = solution_stream(euler_method, 0.1, lambda y: (1.0, 0.0, 0.0), (0.5, math.nan, 0.0))
     with pytest.raises(DomainError, match="^state is not finite at step 0, t = 0.5$"):
         next(stream)
 
 
 def test_stream_yields_a_finite_state_whose_sum_overflows():
     state = (0.0, 1e308, 1e308)
-    problem = InitialValueProblem(lambda y: (0.0, 0.0, 0.0), state)
-    assert list(itertools.islice(solution_stream(euler_method, 0.1, problem), 3)) == [state] * 3
+    stream = solution_stream(euler_method, 0.1, lambda y: (0.0, 0.0, 0.0), state)
+    assert list(itertools.islice(stream, 3)) == [state] * 3
 
 
 def test_stream_names_the_step_of_a_domain_error_the_method_raises():
@@ -308,7 +304,7 @@ def test_stream_names_the_step_of_a_domain_error_the_method_raises():
             raise DomainError("gravitational singularity")
         return (1.0,)
 
-    stream = solution_stream(euler_method, 1.0, InitialValueProblem(equation, (0.0,)))
+    stream = solution_stream(euler_method, 1.0, equation, (0.0,))
     assert list(itertools.islice(stream, 4)) == [(0.0,), (1.0,), (2.0,), (3.0,)]
     with pytest.raises(DomainError, match="^gravitational singularity at step 4$"):
         next(stream)
@@ -322,7 +318,7 @@ def test_stream_computes_no_state_past_the_last_one_taken(method):
         calls.append(y)
         return (1.0, 0.0, 0.0)
 
-    list(itertools.islice(solution_stream(METHODS[method], 0.1, InitialValueProblem(equation, (0.0, 1.0, 0.0))), 3))
+    list(itertools.islice(solution_stream(METHODS[method], 0.1, equation, (0.0, 1.0, 0.0)), 3))
     assert len(calls) == 2 * (4 if method == "rk4" else 1)
 
 
@@ -333,13 +329,13 @@ def test_solve_states_starts_at_initial_state():
     from mechfield.mechanics import damped_driven_osc
 
     s0 = particle(0.0, Vec3(1, 0, 0), Vec3(0, 0, 0))
-    problem = InitialValueProblem(second_order_equation(damped_driven_osc(0.0, 1.0, 0.7)), s0)
-    assert next(solution_stream(euler_cromer_method, 0.01, problem)) == s0
+    equation = second_order_equation(damped_driven_osc(0.0, 1.0, 0.7))
+    assert next(solution_stream(euler_cromer_method, 0.01, equation, s0)) == s0
 
 
 def test_solve_states_free_particle_keeps_velocity():
-    problem = InitialValueProblem(second_order_equation(FREE), particle(0.0, ZERO, Vec3(2, -1, 0)))
-    for state in itertools.islice(solution_stream(euler_cromer_method, 0.5, problem), 10):
+    stream = solution_stream(euler_cromer_method, 0.5, second_order_equation(FREE), particle(0.0, ZERO, Vec3(2, -1, 0)))
+    for state in itertools.islice(stream, 10):
         assert state[4:] == (2, -1, 0)
 
 
@@ -347,7 +343,6 @@ def test_solve_states_sho_returns_after_one_cycle():
     from mechfield.mechanics import damped_driven_osc
 
     equation = second_order_equation(damped_driven_osc(0.0, 0.0, 0.0))
-    problem = InitialValueProblem(equation, particle(0.0, X_HAT, ZERO))
-    stream = solution_stream(euler_cromer_method, 0.01, problem)
+    stream = solution_stream(euler_cromer_method, 0.01, equation, particle(0.0, X_HAT, ZERO))
     state = next(itertools.islice(stream, 628, None))  # t = 6.28, one period of the unit SHO
     assert (Vec3(*state[1:4]) - X_HAT).magnitude() < 1e-3

@@ -105,9 +105,7 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * len(ms):
-            raise ValueError(
-                f"state has {len(q) // 3} particles but {len(ms)} masses were given"
-            )
+            raise ValueError(f"gravity state has {len(q)} coordinates, not 3 for each of {len(ms)} masses")
         points = [q[i:i + 3] for i in range(0, len(q), 3)]
         out: list[float] = []
         for i, (xi, yi, zi) in enumerate(points):
@@ -134,33 +132,33 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     return accel
 
 
-def spring_chain_accel(k: float, spacing: float, mass: float) -> AccelerationFunction:
-    """Point masses joined by nearest-neighbor Hooke's-law springs, ends anchored.
+def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> AccelerationFunction:
+    """``count`` point masses joined by nearest-neighbor Hooke's-law springs, ends anchored.
 
     The chain lies along the x axis: particle i has equilibrium position
     (i+1) * spacing, and every spring has natural length ``spacing``. The
     ends are always anchored: stationary virtual anchors sit at x = 0 and
-    x = (n+1) * spacing, one spacing beyond each end particle, so the
+    x = (count+1) * spacing, one spacing beyond each end particle, so the
     chain supports standing waves. Displacements are full 3D vectors, so
     both longitudinal and transverse motion work; which one you get is a
-    matter of initial conditions. Two neighbors at the same point give a
-    spring of no direction, which is a :class:`DomainError`, and so is a
-    right anchor beyond the largest float. Each spring is computed once and
-    pulls its two ends with opposite signs.
+    matter of initial conditions. Like :func:`gravity_accel`, it is built
+    for its count and refuses a state of any other size; a right anchor
+    beyond the largest float is a ``ValueError`` when it is built. Two
+    neighbors at the same point are a :class:`DomainError`. Each spring is
+    computed once and pulls its two ends with opposite signs.
     """
+    if count < 1:
+        raise ValueError("spring chain needs at least one particle")
     if k <= 0.0 or spacing <= 0.0 or mass <= 0.0:
         raise ValueError("k, spacing, and mass must all be positive")
+    anchor = (count + 1) * spacing  # the right anchor, the lattice's farthest point
+    if not math.isfinite(anchor):
+        raise ValueError("spring chain lattice is not finite")
     inverse_mass = 1.0 / mass
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
-        if len(q) % 3:
-            raise ValueError(f"spring chain state has {len(q)} coordinates, not 3 per particle")
-        n = len(q) // 3
-        if n < 1:
-            raise ValueError("spring chain needs at least one particle")
-        anchor = (n + 1) * spacing  # the right anchor, the lattice's farthest point
-        if not anchor < math.inf:
-            raise DomainError("spring chain lattice is not finite")
+        if len(q) != 3 * count:
+            raise ValueError(f"spring chain state has {len(q)} coordinates, not 3 for each of {count} particles")
         out: list[float] = []
         x0 = y0 = z0 = 0.0  # the spring's left end: the left anchor, then each particle
         fx = fy = fz = 0.0  # 0.0 minus the term of the spring to the left of that end

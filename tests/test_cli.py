@@ -460,7 +460,7 @@ def test_spring_chain_whose_lattice_overflows_is_usage_error(tmp_path, capsys, m
     argv = ("simulate", "spring-chain", "--particles", particles, "--spacing", "1e308", "--steps", steps)
     code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: spring chain lattice is not finite: --particles and --spacing are too large\n"
+    assert err == "error: spring chain lattice is not finite\n"
     assert list(tmp_path.iterdir()) == []
     assert run_cli(capsys, *argv)[:2] == (EXIT_USAGE, "")
     assert calls == []

@@ -246,6 +246,8 @@ def test_gravity_refuses_bodies_whose_distance_cubed_overflows():
 def test_gravity_rejects_wrong_particle_count():
     with pytest.raises(ValueError):
         accel_at(gravity_accel([1.0, 1.0]), one_particle_system(ZERO, ZERO))
+    with pytest.raises(ValueError, match="^gravity state has 4 coordinates, not 3 for each of 1 masses$"):
+        gravity_accel([1.0])(0.0, (1.0, 2.0, 3.0, 4.0), (0.0,) * 4)
 
 
 def test_gravity_rejects_bad_masses():
@@ -263,13 +265,13 @@ def lattice(count: int, spacing: float = 1.0) -> list:
 
 
 def test_spring_chain_equilibrium_has_zero_acceleration():
-    accel = spring_chain_accel(k=2.0, spacing=1.0, mass=0.5)
+    accel = spring_chain_accel(5, k=2.0, spacing=1.0, mass=0.5)
     for a in triples(accel_at(accel, system(0.0, lattice(5)))):
         assert a.magnitude() <= 1e-12
 
 
 def test_spring_chain_transverse_displacement_restores():
-    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
+    accel = spring_chain_accel(1, k=1.0, spacing=1.0, mass=1.0)
     state = one_particle_system(Vec3(1.0, 0.2, 0.0), ZERO)
     (a,) = triples(accel_at(accel, state))
     assert a.y < 0  # back toward the axis
@@ -277,7 +279,7 @@ def test_spring_chain_transverse_displacement_restores():
 
 
 def test_spring_chain_uniform_translation_loads_only_the_ends():
-    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
+    accel = spring_chain_accel(6, k=1.0, spacing=1.0, mass=1.0)
     shifted = [(r + Vec3(0.1, 0, 0), v) for r, v in lattice(6)]
     accels = triples(accel_at(accel, system(0.0, shifted)))
     assert accels[0].magnitude() > 1e-3
@@ -301,7 +303,7 @@ def test_spring_chain_lowest_mode_frequency():
         for i in range(n)
     ]
     state = system(0.0, particles)
-    equation = second_order_equation(spring_chain_accel(k, spacing, m))
+    equation = second_order_equation(spring_chain_accel(n, k, spacing, m))
 
     mid = n // 2
     mid_x = 1 + 3 * mid  # index of the middle particle's x in the flat state
@@ -369,7 +371,7 @@ TRANSVERSE = (
 def test_spring_chain_matches_the_anchored_oracle_bit_for_bit(count, stretch):
     rng = random.Random(count * 10 + int(stretch * 10))
     for k, spacing, mass in ((1.0, 1.0, 1.0), (2.7, 0.3, 0.45), (0.05, 13.0, 7.0)):
-        accel, oracle = spring_chain_accel(k, spacing, mass), anchored_chain_oracle(k, spacing, mass)
+        accel, oracle = spring_chain_accel(count, k, spacing, mass), anchored_chain_oracle(k, spacing, mass)
         for transverse in TRANSVERSE:
             for _ in range(10):
                 q = []
@@ -382,25 +384,27 @@ def test_spring_chain_matches_the_anchored_oracle_bit_for_bit(count, stretch):
 
 def test_spring_chain_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        spring_chain_accel(k=0.0, spacing=1.0, mass=1.0)
+        spring_chain_accel(1, k=0.0, spacing=1.0, mass=1.0)
     with pytest.raises(ValueError):
-        spring_chain_accel(k=1.0, spacing=-1.0, mass=1.0)
+        spring_chain_accel(1, k=1.0, spacing=-1.0, mass=1.0)
     with pytest.raises(ValueError):
-        spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(0.0, (), ())
+        spring_chain_accel(1, k=1.0, spacing=1.0, mass=1.0)(0.0, (), ())
+    with pytest.raises(ValueError, match="^spring chain needs at least one particle$"):
+        spring_chain_accel(0, k=1.0, spacing=1.0, mass=1.0)
 
 
-@pytest.mark.parametrize(("spacing", "q"), [(1e308, (1e308, 0.01, 0.0)), (1e308, (1.0, 0.0, 0.0, 2.0, 0.0, 0.0))])
-def test_spring_chain_whose_right_anchor_overflows_is_domain_error(spacing, q):
-    accel = spring_chain_accel(k=1.0, spacing=spacing, mass=1.0)
-    with pytest.raises(DomainError, match="^spring chain lattice is not finite$"):
-        accel(0.0, q, [0.0] * len(q))
+@pytest.mark.parametrize("count", [1, 2])
+def test_spring_chain_whose_right_anchor_overflows_is_refused_at_build(count):
+    with pytest.raises(ValueError, match="^spring chain lattice is not finite$") as raised:
+        spring_chain_accel(count, k=1, spacing=1e308, mass=1)
+    assert not isinstance(raised.value, DomainError)
 
 
-@pytest.mark.parametrize("length", [4, 5])
+@pytest.mark.parametrize("length", [4, 5, 6])  # 6 is two whole particles for a chain of one
 def test_spring_chain_refuses_a_state_that_is_not_whole_particles(length):
-    q = [1.0, 0.0, 0.0, 5.0, 0.0][:length]
-    with pytest.raises(ValueError, match=f"spring chain state has {length} coordinates, not 3 per particle"):
-        spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)(0.0, q, [0.0] * length)
+    q = [1.0, 0.0, 0.0, 5.0, 0.0, 0.0][:length]
+    with pytest.raises(ValueError, match=f"^spring chain state has {length} coordinates, not 3 for each of 1 particles$"):
+        spring_chain_accel(1, k=1.0, spacing=1.0, mass=1.0)(0.0, q, [0.0] * length)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +416,7 @@ def test_spring_chain_refuses_a_state_that_is_not_whole_particles(length):
     ],
 )
 def test_spring_chain_coincident_neighbors_is_domain_error(particles):
-    accel = spring_chain_accel(k=1.0, spacing=1.0, mass=1.0)
+    accel = spring_chain_accel(len(particles), k=1.0, spacing=1.0, mass=1.0)
     with pytest.raises(DomainError, match="^spring chain neighbors coincide$"):
         accel_at(accel, system(0.0, particles))
 

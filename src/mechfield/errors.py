@@ -8,6 +8,6 @@ class DomainError(ValueError):
 
     Raised for things like evaluating a field on its own source curve,
     asking for the gravitational pull between coincident particles, or
-    building a loop of non-positive radius. The CLI maps this to its own
+    stepping a state that is not finite. The CLI maps this to its own
     exit code so scripts can tell singularities from usage mistakes.
     """

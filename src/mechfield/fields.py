@@ -23,7 +23,6 @@ import math
 import operator
 from array import array
 from functools import reduce
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import DomainError
@@ -49,10 +48,6 @@ BIOT_SAVART_CONSTANT = 1e-7  # T m / A, i.e. mu0 / (4 pi)
 # Minimum distance between a field point and a quadrature chord or sample
 # before the evaluation counts as "on the source" and is refused.
 ON_SOURCE_DISTANCE = 1e-12  # m
-
-# Bound on the distance from a field point to every quadrature sample: below
-# it, no kernel term's cubed distance overflows, so none silently becomes 0.
-FAR_DISTANCE = 1e102  # m
 
 # A field assigns a value to every position: a number for scalar fields
 # (charge density, potential), a Vec3 for vector fields (E, B).
@@ -93,8 +88,8 @@ def circular_loop(radius: float) -> Curve:
 
     Traversed counterclockwise as seen from +z, parameter running 0 to 2 pi.
     """
-    if radius <= 0.0:
-        raise ValueError("loop radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("loop radius must be positive and finite")
 
     def point(t: float) -> Position:
         return Position(radius * math.cos(t), radius * math.sin(t), 0.0)
@@ -104,8 +99,8 @@ def circular_loop(radius: float) -> Curve:
 
 def line_segment(length: float) -> Curve:
     """Straight segment of the given length along the z axis, centered on the origin."""
-    if length <= 0.0:
-        raise ValueError("segment length must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError("segment length must be positive and finite")
     return Curve(lambda t: Position(0.0, 0.0, t), -length / 2.0, length / 2.0)
 
 
@@ -155,13 +150,12 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
     return sum((field(s).cross(displacement(a, b)) for a, s, b in _pieces(intervals, curve)), ZERO)
 
 
-def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[list[array], float, float]:
-    """A curve's pieces as ten flat float columns, the reach of their samples, and their spread.
+def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[list[array], float]:
+    """A curve's pieces as ten flat float columns, and the reach of their samples.
 
     Per piece: sample x, y, z, the source strength there, chord start x, y,
     z and chord x, y, z. A point on a piece is nearer than the reach to the
-    piece's sample. The spread is the largest distance from the first
-    sample to any sample.
+    piece's sample.
     """
     columns = [array("d") for _ in range(10)]
     sx, sy, sz, q, ax, ay, az, cx, cy, cz = (column.append for column in columns)
@@ -172,9 +166,7 @@ def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[li
         cx(end.x - a), cy(end.y - b), cz(end.z - c)
         ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
         farthest = max(farthest, ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz)
-    xs, ys, zs = columns[:3]
-    spread = max(map(math.dist, repeat((xs[0], ys[0], zs[0])), zip(xs, ys, zs)))
-    return columns, (math.sqrt(farthest) + ON_SOURCE_DISTANCE) * (1.0 + 1e-9), spread  # reach with slack for rounding
+    return columns, (math.sqrt(farthest) + ON_SOURCE_DISTANCE) * (1.0 + 1e-9)  # reach with slack for rounding
 
 
 def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
@@ -184,15 +176,13 @@ def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
     raise DomainError(f"field is not finite at {format_row(map(float, p))}")
 
 
-def _refuse_far(columns: list[array], spread: float, p: tuple[float, float, float]) -> None:
-    """Raise :class:`DomainError`, naming ``p``, unless ``p`` is nearer than FAR_DISTANCE to every sample.
+def _too_far(p: tuple[float, float, float]) -> DomainError:
+    """The :class:`DomainError`, naming ``p``, for a term whose cubed distance overflows to ``inf``.
 
-    By the triangle inequality, ``p``'s distance from the first sample plus
-    the spread bounds its distance from any sample. A NaN coordinate passes,
-    to end as a field value that is not finite.
+    Dividing by that cube would make the term a silent 0; a NaN distance
+    is not refused here, and ends as a field value that is not finite.
     """
-    if math.dist(p, (columns[0][0], columns[1][0], columns[2][0])) + spread >= FAR_DISTANCE:
-        raise DomainError(f"field point too far from the source at {format_row(map(float, p))}")
+    return DomainError(f"field point too far from the source at {format_row(map(float, p))}")
 
 
 def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> None:
@@ -210,33 +200,34 @@ def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> No
 def electric_field_of_line_charge(
     density: ScalarField, curve: Curve, intervals: int = 1000
 ) -> VectorField:
-    """Electric field (V/m) of charge spread along a curve.
+    """Electric field (V/m) of charge distributed along a curve.
 
     ``density`` is the linear charge density in C/m at each source point,
     read once per quadrature sample when the field is built. The field at
     point p is COULOMB_CONSTANT times the line integral over the curve of
     density(q) d / |d|^3, where d runs from the source point q to p.
     Evaluating within 1e-12 m of the source, which for a curved source is
-    the polyline of quadrature chords (and their midpoint samples), at a
-    point whose distance from the first sample plus the samples' spread
-    reaches FAR_DISTANCE (1e102 m), where a term's cubed distance could
-    overflow to a silent 0, or where the sum overflows, raises
-    :class:`DomainError` naming the point, not garbage.
+    the polyline of quadrature chords (and their midpoint samples), so far
+    from a sample that the term's cubed distance overflows (beyond about
+    5.6e102 m) and would make it a silent 0, or where the sum overflows,
+    raises :class:`DomainError` naming the point, not garbage.
     """
-    columns, reach, spread = _quadrature(intervals, curve, density)
+    columns, reach = _quadrature(intervals, curve, density)
     xs, ys, zs, charge, _, _, _, cxs, cys, czs = columns
     length = array("d", [math.sqrt(x * x + y * y + z * z) for x, y, z in zip(cxs, cys, czs)])
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
-        _refuse_far(columns, spread, (px, py, pz))
         ex = ey = ez = -0.0  # -0.0 + t == t for every t: the sum starts from its first term
         for sx, sy, sz, q, w in zip(xs, ys, zs, charge, length):
             dx, dy, dz = px - sx, py - sy, pz - sz
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
                 _refuse_on_source(columns, (px, py, pz))
-            s = q / (dist * dist * dist)
+            cube = dist * dist * dist
+            if cube == math.inf:
+                raise _too_far((px, py, pz))
+            s = q / cube
             ex += dx * s * w
             ey += dy * s * w
             ez += dz * s * w
@@ -255,24 +246,26 @@ def magnetic_field_of_line_current(
     computed as field x dl, the opposite order, so the sampled value
     carries a minus sign on the current to compensate. Evaluation within
     1e-12 m of the source, the polyline of quadrature chords (and their
-    midpoint samples), too far from it as for the E field (FAR_DISTANCE,
-    1e102 m), or where the sum overflows, raises :class:`DomainError`
+    midpoint samples), too far from it as for the E field (a cubed distance
+    that overflows), or where the sum overflows, raises :class:`DomainError`
     naming the point.
     """
     strength = -current
-    columns, reach, spread = _quadrature(intervals, curve, lambda _source: strength)
+    columns, reach = _quadrature(intervals, curve, lambda _source: strength)
     xs, ys, zs, weight, _, _, _, cxs, cys, czs = columns
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
-        _refuse_far(columns, spread, (px, py, pz))
         bx = by = bz = 0.0
         for sx, sy, sz, q, cx, cy, cz in zip(xs, ys, zs, weight, cxs, cys, czs):
             dx, dy, dz = px - sx, py - sy, pz - sz
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
                 _refuse_on_source(columns, (px, py, pz))
-            s = q / (dist * dist * dist)
+            cube = dist * dist * dist
+            if cube == math.inf:
+                raise _too_far((px, py, pz))
+            s = q / cube
             dx, dy, dz = dx * s, dy * s, dz * s
             bx += dy * cz - dz * cy
             by += dz * cx - dx * cz

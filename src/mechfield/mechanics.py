@@ -45,12 +45,12 @@ def satellite_accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[f
 
     Inverse-square gravity of magnitude G M / |r|^2 pointing back along
     the displacement; depends only on where the satellite is, not on the
-    time or its velocity. The origin, and beyond about 5.6e102 m, where
-    |r|^3 overflows, are a :class:`DomainError`.
+    time or its velocity. As in :func:`gravity_accel`, within 1e-6 m of the
+    origin, or beyond about 5.6e102 m where |r|^3 overflows, is a :class:`DomainError`.
     """
     x, y, z = q
     dist = math.sqrt(x * x + y * y + z * z)
-    if dist == 0.0:
+    if dist < 1e-6:  # nearer, |r|^3 can underflow to 0 or the pull overflow; NaN passes
         raise DomainError("satellite at origin")
     cube = dist * dist * dist
     if cube == math.inf:  # dividing by it would make the pull a silent 0
@@ -65,9 +65,11 @@ def damped_driven_osc(beta: float, drive_amp: float, drive_freq: float) -> Accel
     Three forces act: a spring force -r, a damping force -beta v, and a
     cosine drive of amplitude ``drive_amp`` (N) and angular frequency
     ``drive_freq`` (rad/s) along the x axis. With beta = drive_amp = 0 this
-    is the plain simple harmonic oscillator. An infinite drive phase
-    ``drive_freq * t`` is a :class:`DomainError`.
+    is the plain simple harmonic oscillator. A parameter that is not finite
+    is a ``ValueError``, an infinite drive phase ``drive_freq * t`` a :class:`DomainError`.
     """
+    if not all(map(math.isfinite, (beta, drive_amp, drive_freq))):
+        raise ValueError("beta, drive amplitude, and drive frequency must be finite")
     damping = -beta
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
@@ -100,8 +102,8 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     are a :class:`DomainError`, not a silent fudge or a silent 0.
     """
     ms = tuple(float(m) for m in masses)
-    if not ms or any(m <= 0.0 for m in ms):
-        raise ValueError("masses must be a non-empty sequence of positive values")
+    if not ms or any(not 0.0 < m < math.inf for m in ms):
+        raise ValueError("masses must be a non-empty sequence of positive, finite values")
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * len(ms):
@@ -149,8 +151,8 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
     """
     if count < 1:
         raise ValueError("spring chain needs at least one particle")
-    if k <= 0.0 or spacing <= 0.0 or mass <= 0.0:
-        raise ValueError("k, spacing, and mass must all be positive")
+    if not (0.0 < k < math.inf and 0.0 < spacing < math.inf and 0.0 < mass < math.inf):
+        raise ValueError("k, spacing, and mass must all be positive and finite")
     anchor = (count + 1) * spacing  # the right anchor, the lattice's farthest point
     if not math.isfinite(anchor):
         raise ValueError("spring chain lattice is not finite")
@@ -188,8 +190,8 @@ def pendulum_accel(g: float, length: float) -> AccelerationFunction:
     physical pendulum reduces to it with ``length`` read as I / (m d).
     An infinite angle is a :class:`DomainError`.
     """
-    if g <= 0.0 or length <= 0.0:
-        raise ValueError("g and length must be positive")
+    if not (0.0 < g < math.inf and 0.0 < length < math.inf):
+        raise ValueError("g and length must be positive and finite")
     rate = g / length
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float]:

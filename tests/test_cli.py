@@ -570,6 +570,13 @@ def test_field_domain_error_names_the_point(capsys, argv, message):
     assert run_cli(capsys, "field", "e-line", *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
 
 
+def only_point(command: str, point: tuple[float, float, float]) -> tuple[str, ...]:
+    """The flags that make ``field`` or ``field-grid`` evaluate at ``point`` alone."""
+    if command == "field":
+        return ("--at", format_row(point))
+    return tuple(f"--{axis}-{end}={value!r}" for axis, value in zip("xyz", point) for end in ("min", "max"))
+
+
 @pytest.mark.parametrize(("source", "point"), [
     (("b-loop", "--radius", "1e150"), (0.0, 0.0, 0.0)),
     (("e-line",), (1e110, 0.0, 0.0)),
@@ -577,16 +584,24 @@ def test_field_domain_error_names_the_point(capsys, argv, message):
 @pytest.mark.parametrize("command", ["field", "field-grid"])
 def test_field_point_too_far_from_the_source_is_domain_error(capsys, command, source, point):
     # each term's cubed distance would overflow to inf and the term to 0: the answer would be a silent 0,0,0
-    if command == "field":
-        where = ("--at", format_row(point))
-    else:
-        where = tuple(f"--{axis}-{end}={value!r}" for axis, value in zip("xyz", point) for end in ("min", "max"))
-    code, out, err = run_cli(capsys, command, *source, *where)
+    code, out, err = run_cli(capsys, command, *source, *only_point(command, point))
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == f"error: field point too far from the source at {format_row(point)}\n"
-    # nearer than 1e102 m the field is computed: mu0 I / 2R at the center of a 1e100 m loop
+    # where no term's cubed distance overflows the field is computed: mu0 I / 2R at the center of a 1e100 m loop
     assert run_cli(capsys, "field", "b-loop", "--radius", "1e100", "--at", "0,0,0") == (
         EXIT_OK, "0,0,6.28317497e-107\n", "")
+
+
+@pytest.mark.parametrize(("source", "point", "expected"), [
+    (("b-loop", "--radius", "1e102"), (0.0, 0.0, 0.0), "0,0,6.28317497e-109"),  # mu0 I / 2R of the 1000-chord polygon
+    (("e-line", "--lambda", "1"), (3e102, 0.0, 0.0), "1e-195,0,0"),  # 1 C as a point charge
+], ids=["b-loop-radius-1e102", "e-line-at-3e102"])
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+def test_field_point_whose_cubed_distances_stay_finite_is_evaluated(capsys, command, source, point, expected):
+    # short of about 5.6e102 m, where a term's cubed distance overflows, a far point is computed
+    code, out, err = run_cli(capsys, command, *source, *only_point(command, point))
+    assert (code, err) == (EXIT_OK, "")
+    assert ",".join(f"{float(c):.9g}" for c in out.splitlines()[-1].split(",")[-3:]) == expected  # as `field` prints
 
 
 def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):

@@ -299,20 +299,28 @@ class TestMagneticField:
 
 
 class TestFarPoints:
-    """A point some 1e102 m from the source is refused: its terms' cubed distances would overflow to a silent 0."""
+    """A point is refused where a term's cubed distance overflows (beyond about 5.6e102 m) to a silent 0, no nearer."""
 
     def test_electric_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
         field = electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0))
         with pytest.raises(DomainError, match=r"^field point too far from the source at 1e\+103,0,0$"):
             field(Position(1e103, 0.0, 0.0))
         # 1 nC seen from 1e100 m away: a point charge
-        assert field(Position(1e100, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * 1e-9 / 1e200, rel=1e-9)
+        assert field(Position(1e100, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * 1e-9 / 1e200, rel=1e-9, abs=0)
 
     def test_magnetic_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
         field = magnetic_field_of_line_current(1.0, circular_loop(1.0))
         with pytest.raises(DomainError, match=r"^field point too far from the source at 0,0,1e\+103$"):
             field(Position(0.0, 0.0, 1e103))
-        assert field(Position(0.0, 0.0, 1e100)).z == pytest.approx(loop_field_on_axis(1.0, 1.0, 1e100), rel=1e-3)
+        assert field(Position(0.0, 0.0, 1e100)).z == pytest.approx(loop_field_on_axis(1.0, 1.0, 1e100), rel=1e-3, abs=0)
+
+    def test_a_point_whose_cubed_distances_stay_finite_is_evaluated(self):
+        # mu0 I / 2R at the center of a 1e102 m loop (its 1000-chord polygon is 1.6e-6 short of the circle),
+        # and 1 C seen from 3e102 m away as a point charge; abs=0, or approx would pass any value below 1e-12
+        b = magnetic_field_of_line_current(1.0, circular_loop(1e102))(ZERO).z
+        assert b == pytest.approx(MU_0 / 2e102, rel=1e-5, abs=0)
+        field = electric_field_of_line_charge(lambda p: 1.0, line_segment(1.0))
+        assert field(Position(3e102, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT / 9e204, rel=1e-9, abs=0)
 
 
 # --- build once, evaluate many -------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mechfield.errors import DomainError
+from mechfield.fields import circular_loop, line_segment
 from mechfield.mechanics import (
     EARTH_MASS,
     GRAVITATIONAL_CONSTANT as G,
@@ -87,12 +88,19 @@ def test_satellite_accel_rejects_origin():
         satellite_accel(0.0, ZERO, ZERO)
 
 
+@pytest.mark.parametrize("distance", [1e-110, 1e-100, 5e-7])
+def test_satellite_accel_refuses_a_distance_nearer_than_gravity_does(distance):
+    # at 1e-110 m |r|^3 underflows to 0, and at 1e-100 m the pull overflows to inf
+    with pytest.raises(DomainError, match="^satellite at origin$"):
+        satellite_accel(0.0, Vec3(distance, 0, 0), ZERO)
+
+
 def test_satellite_accel_refuses_a_distance_whose_cube_overflows():
     # beyond about 5.6e102 m |r|^3 is inf, and dividing by it would make the pull a silent 0
     for distance in (1e103, 1e160):
         with pytest.raises(DomainError, match="^satellite too far from the origin$"):
             satellite_accel(0.0, Vec3(distance, 0, 0), ZERO)
-    assert satellite_accel(0.0, Vec3(0, 0, 1e100), ZERO)[2] == pytest.approx(-G * EARTH_MASS / 1e200, rel=1e-12)
+    assert satellite_accel(0.0, Vec3(0, 0, 1e100), ZERO)[2] == pytest.approx(-G * EARTH_MASS / 1e200, rel=1e-12, abs=0)
     # a NaN distance is not refused here: the solution stream names the state that is not finite
     assert all(map(math.isnan, satellite_accel(0.0, Vec3(math.nan, 0, 0), ZERO)))
 
@@ -239,7 +247,7 @@ def test_gravity_refuses_bodies_whose_distance_cubed_overflows():
         with pytest.raises(DomainError, match="^gravitating bodies too far apart$"):
             accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(distance, 0, 0), ZERO)]))
     a1, a2 = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(1e100, 0, 0), ZERO)])))
-    assert a1.x == pytest.approx(G * 1e30 / 1e200, rel=1e-12)
+    assert a1.x == pytest.approx(G * 1e30 / 1e200, rel=1e-12, abs=0)
     assert a2 == -a1
 
 
@@ -444,6 +452,30 @@ def test_pendulum_rejects_bad_parameters():
         pendulum_accel(0.0, 1.0)
     with pytest.raises(ValueError):
         pendulum_accel(9.8, -1.0)
+
+
+BUILDERS = {  # each physics builder with one parameter x, the others valid
+    "circular_loop": circular_loop,
+    "line_segment": line_segment,
+    "pendulum-g": lambda x: pendulum_accel(x, 1.0),
+    "pendulum-length": lambda x: pendulum_accel(9.8, x),
+    "spring-chain-k": lambda x: spring_chain_accel(1, x, 1.0, 1.0),
+    "spring-chain-spacing": lambda x: spring_chain_accel(1, 1.0, x, 1.0),
+    "spring-chain-mass": lambda x: spring_chain_accel(1, 1.0, 1.0, x),
+    "gravity-first": lambda x: gravity_accel([x]),
+    "gravity-second": lambda x: gravity_accel([1.0, x]),
+    "ddho-beta": lambda x: damped_driven_osc(x, 0.0, 0.0),
+    "ddho-amp": lambda x: damped_driven_osc(0.0, x, 0.0),
+    "ddho-omega": lambda x: damped_driven_osc(0.0, 0.0, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS)
+def test_every_builder_refuses_a_parameter_that_is_not_finite(builder, value):
+    with pytest.raises(ValueError) as raised:
+        builder(value)
+    assert not isinstance(raised.value, DomainError)
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf])

@@ -13,14 +13,15 @@ chord vector itself for the crossed variant). No tangent vectors are
 required of the caller, and the scheme is second order: halving the
 interval width cuts the error about four-fold for smooth integrands.
 A field builder cuts its curve once, when the field is built; the field
-then runs a flat E or B kernel over the stored pieces, and the source it
-knows is their polyline of chords plus the midpoint samples.
+then runs a flat E or B kernel over the stored pieces, and counts a point
+within about a piece and a half of a sample, at any scale, as on the source.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
@@ -45,9 +46,9 @@ __all__ = [
 COULOMB_CONSTANT = 9e9  # N m^2 / C^2, i.e. 1 / (4 pi eps0)
 BIOT_SAVART_CONSTANT = 1e-7  # T m / A, i.e. mu0 / (4 pi)
 
-# Minimum distance between a field point and a quadrature chord or sample
-# before the evaluation counts as "on the source" and is refused.
-ON_SOURCE_DISTANCE = 1e-12  # m
+_TINY = sys.float_info.min  # the smallest normal float
+# The reach's floor: the smallest power of two whose cube is a normal float, 2**-340 m.
+_NEAREST = 2.0 ** math.ceil(math.log2(_TINY) / 3)
 
 # A field assigns a value to every position: a number for scalar fields
 # (charge density, potential), a Vec3 for vector fields (E, B).
@@ -129,13 +130,20 @@ def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, 
             raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
 
 
+def _length(chord: Iterable[float]) -> float:
+    """A chord's length: the root of its squares, or ``math.hypot`` where they underflow (below about 1.5e-154 m)."""
+    x, y, z = chord
+    squared = x * x + y * y + z * z
+    return math.sqrt(squared) if squared >= _TINY else math.hypot(x, y, z)
+
+
 def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) -> V:
     """Integrate a scalar or vector field along a curve.
 
     Midpoint samples weighted by chord lengths; see the module docstring.
     A constant field integrates to (constant) * (polyline arc length).
     """
-    terms = (field(s) * displacement(a, b).magnitude() for a, s, b in _pieces(intervals, curve))
+    terms = (field(s) * _length(displacement(a, b)) for a, s, b in _pieces(intervals, curve))
     return reduce(operator.add, terms)
 
 
@@ -151,22 +159,23 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
 
 
 def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[list[array], float]:
-    """A curve's pieces as ten flat float columns, and the reach of their samples.
+    """A curve's pieces as seven flat float columns, and the reach of their samples.
 
-    Per piece: sample x, y, z, the source strength there, chord start x, y,
-    z and chord x, y, z. A point on a piece is nearer than the reach to the
-    piece's sample.
+    Per piece: sample x, y, z, the source strength there and chord x, y, z.
+    The reach, three times the farthest a chord end lies from its own
+    sample and at least 2**-340 m, covers every point within one chord
+    length of a chord or a sample: no chord is longer than twice that
+    farthest distance.
     """
-    columns = [array("d") for _ in range(10)]
-    sx, sy, sz, q, ax, ay, az, cx, cy, cz = (column.append for column in columns)
+    columns = [array("d") for _ in range(7)]
+    sx, sy, sz, q, cx, cy, cz = (column.append for column in columns)
     farthest = 0.0  # squared, from a sample to the farther end of its chord
     for start, sample, end in _pieces(intervals, curve):
         x, y, z, a, b, c = sample.x, sample.y, sample.z, start.x, start.y, start.z
-        sx(x), sy(y), sz(z), q(strength(sample)), ax(a), ay(b), az(c)
-        cx(end.x - a), cy(end.y - b), cz(end.z - c)
+        sx(x), sy(y), sz(z), q(strength(sample)), cx(end.x - a), cy(end.y - b), cz(end.z - c)
         ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
         farthest = max(farthest, ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz)
-    return columns, (math.sqrt(farthest) + ON_SOURCE_DISTANCE) * (1.0 + 1e-9)  # reach with slack for rounding
+    return columns, max(3.0 * math.sqrt(farthest), _NEAREST)
 
 
 def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
@@ -176,25 +185,9 @@ def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
     raise DomainError(f"field is not finite at {format_row(map(float, p))}")
 
 
-def _too_far(p: tuple[float, float, float]) -> DomainError:
-    """The :class:`DomainError`, naming ``p``, for a term whose cubed distance overflows to ``inf``.
-
-    Dividing by that cube would make the term a silent 0; a NaN distance
-    is not refused here, and ends as a field value that is not finite.
-    """
-    return DomainError(f"field point too far from the source at {format_row(map(float, p))}")
-
-
-def _refuse_on_source(columns: list[array], p: tuple[float, float, float]) -> None:
-    """Raise :class:`DomainError`, naming ``p``, within ON_SOURCE_DISTANCE of any sample or chord."""
-    px, py, pz = p
-    for sx, sy, sz, _, ax, ay, az, cx, cy, cz in zip(*columns):
-        along = (px - ax) * cx + (py - ay) * cy + (pz - az) * cz
-        squared = cx * cx + cy * cy + cz * cz  # 0.0 for a chord shorter than about 1e-162 m
-        f = min(along / squared, 1.0) if along > 0.0 and squared > 0.0 else 0.0
-        nearest = (ax + f * cx, ay + f * cy, az + f * cz)
-        if min(math.dist(p, (sx, sy, sz)), math.dist(p, nearest)) < ON_SOURCE_DISTANCE:
-            raise DomainError(f"field point on source at {format_row(map(float, p))}")
+def _refused(where: str, p: tuple[float, float, float]) -> DomainError:
+    """The :class:`DomainError` for a field point ``p`` refused as ``where``; a NaN distance passes both rules."""
+    return DomainError(f"field point {where} at {format_row(map(float, p))}")
 
 
 def electric_field_of_line_charge(
@@ -206,15 +199,17 @@ def electric_field_of_line_charge(
     read once per quadrature sample when the field is built. The field at
     point p is COULOMB_CONSTANT times the line integral over the curve of
     density(q) d / |d|^3, where d runs from the source point q to p.
-    Evaluating within 1e-12 m of the source, which for a curved source is
-    the polyline of quadrature chords (and their midpoint samples), so far
-    from a sample that the term's cubed distance overflows (beyond about
-    5.6e102 m) and would make it a silent 0, or where the sum overflows,
-    raises :class:`DomainError` naming the point, not garbage.
+    Evaluating nearer a quadrature sample than the reach, which covers
+    every point within a chord's length of the source's chords and samples
+    (about 1.5 piece lengths at any scale, and at least 2**-340 m), so far
+    that even the densest sample's term would not be a normal float (from
+    about 3.6e102 m for 1 C/m, nearer for weaker charge), or where the sum
+    overflows, raises :class:`DomainError` naming the point, not garbage.
     """
-    columns, reach = _quadrature(intervals, curve, density)
-    xs, ys, zs, charge, _, _, _, cxs, cys, czs = columns
-    length = array("d", [math.sqrt(x * x + y * y + z * z) for x, y, z in zip(cxs, cys, czs)])
+    (xs, ys, zs, charge, cxs, cys, czs), reach = _quadrature(intervals, curve, density)
+    length = array("d", map(_length, zip(cxs, cys, czs)))
+    # the cube from which even the densest sample's term is not a normal float, or inf for no charge
+    far = max(map(abs, charge)) / _TINY or math.inf
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
@@ -223,10 +218,10 @@ def electric_field_of_line_charge(
             dx, dy, dz = px - sx, py - sy, pz - sz
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
-                _refuse_on_source(columns, (px, py, pz))
+                raise _refused("on source", (px, py, pz))
             cube = dist * dist * dist
-            if cube == math.inf:
-                raise _too_far((px, py, pz))
+            if cube >= far:
+                raise _refused("too far from the source", (px, py, pz))
             s = q / cube
             ex += dx * s * w
             ey += dy * s * w
@@ -244,15 +239,14 @@ def magnetic_field_of_line_current(
     Biot-Savart: the field at p is BIOT_SAVART_CONSTANT * current times
     the integral of dl x d / |d|^3 with d from source to p. Each term is
     computed as field x dl, the opposite order, so the sampled value
-    carries a minus sign on the current to compensate. Evaluation within
-    1e-12 m of the source, the polyline of quadrature chords (and their
-    midpoint samples), too far from it as for the E field (a cubed distance
-    that overflows), or where the sum overflows, raises :class:`DomainError`
-    naming the point.
+    carries a minus sign on the current to compensate. Evaluation nearer a
+    sample than the reach or too far from the source, both as for the E
+    field, or where the sum overflows, raises :class:`DomainError` naming
+    the point.
     """
     strength = -current
-    columns, reach = _quadrature(intervals, curve, lambda _source: strength)
-    xs, ys, zs, weight, _, _, _, cxs, cys, czs = columns
+    (xs, ys, zs, weight, cxs, cys, czs), reach = _quadrature(intervals, curve, lambda _source: strength)
+    far = abs(current) / _TINY or math.inf  # as for the E field
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
@@ -261,10 +255,10 @@ def magnetic_field_of_line_current(
             dx, dy, dz = px - sx, py - sy, pz - sz
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
-                _refuse_on_source(columns, (px, py, pz))
+                raise _refused("on source", (px, py, pz))
             cube = dist * dist * dist
-            if cube == math.inf:
-                raise _too_far((px, py, pz))
+            if cube >= far:
+                raise _refused("too far from the source", (px, py, pz))
             s = q / cube
             dx, dy, dz = dx * s, dy * s, dz * s
             bx += dy * cz - dz * cy

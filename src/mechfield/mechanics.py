@@ -21,6 +21,7 @@ bytes are those of summing each particle's two neighbor pulls.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .errors import DomainError
@@ -98,12 +99,14 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     The returned function expects exactly ``len(masses)`` particles and
     gives particle i the acceleration sum over j != i of
     G m_j (r_j - r_i) / |r_j - r_i|^3. There is no softening: particles
-    closer than 1e-6 m, or beyond about 5.6e102 m where the cube overflows,
-    are a :class:`DomainError`, not a silent fudge or a silent 0.
+    closer than 1e-6 m, or so far apart that even the heaviest body's pull
+    G m / |r_j - r_i|^3 would not be a normal float (from about 1.4e99 m for
+    1 kg), are a :class:`DomainError`, not a silent fudge or a silent 0.
     """
     ms = tuple(float(m) for m in masses)
     if not ms or any(not 0.0 < m < math.inf for m in ms):
         raise ValueError("masses must be a non-empty sequence of positive, finite values")
+    far = GRAVITATIONAL_CONSTANT * max(ms) / sys.float_info.min  # the cube from which that pull is not normal
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * len(ms):
@@ -122,7 +125,7 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
                 cube = dist * dist * dist
-                if cube == math.inf:
+                if cube >= far:
                     raise DomainError("gravitating bodies too far apart")
                 scale = GRAVITATIONAL_CONSTANT * ms[j] / cube
                 ax = ax + dx * scale

@@ -555,15 +555,15 @@ def test_field_on_source_is_domain_error(capsys):
 
 
 def test_field_overflow_is_domain_error(capsys):
-    # 1e300 C/m at 1 um overflows the kernel: inf and nan, not a number to print
-    code, out, err = run_cli(capsys, "field", "e-line", "--lambda", "1e300", "--at", "1e-6,0,0")
+    # 1e308 C/m at 1 cm, ten pieces out, overflows the kernel: inf and nan, not a number to print
+    code, out, err = run_cli(capsys, "field", "e-line", "--lambda", "1e308", "--at", "0.01,0,0")
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "not finite" in err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--lambda", "1e300", "--at", "1e-6,0,0"), "field is not finite at 1e-06,0,0"),
+    (("--lambda", "1e308", "--at", "0.01,0,0"), "field is not finite at 0.01,0,0"),
     (("--at", "0,0,0.5"), "field point on source at 0,0,0.5"),
 ], ids=["overflow", "on-source"])
 def test_field_domain_error_names_the_point(capsys, argv, message):
@@ -580,10 +580,12 @@ def only_point(command: str, point: tuple[float, float, float]) -> tuple[str, ..
 @pytest.mark.parametrize(("source", "point"), [
     (("b-loop", "--radius", "1e150"), (0.0, 0.0, 0.0)),
     (("e-line",), (1e110, 0.0, 0.0)),
-], ids=["b-loop-radius-1e150", "e-line-at-1e110"])
+    (("e-line",), (3e102, 0.0, 0.0)),
+], ids=["b-loop-radius-1e150", "e-line-at-1e110", "e-line-at-3e102"])
 @pytest.mark.parametrize("command", ["field", "field-grid"])
 def test_field_point_too_far_from_the_source_is_domain_error(capsys, command, source, point):
-    # each term's cubed distance would overflow to inf and the term to 0: the answer would be a silent 0,0,0
+    # each term's cubed distance would overflow to inf and the term to 0, the answer a silent 0,0,0;
+    # or, for 1 nC/m at 3e102 m, each term would be about 4e-317, a subnormal that has lost digits
     code, out, err = run_cli(capsys, command, *source, *only_point(command, point))
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == f"error: field point too far from the source at {format_row(point)}\n"
@@ -605,12 +607,43 @@ def test_field_point_whose_cubed_distances_stay_finite_is_evaluated(capsys, comm
 
 
 def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):
-    # the one chord is 1e-300 m long: its squared length underflows to 0.0
+    # the one chord is 1e-300 m long, so the reach is its floor, 2**-340 m (about 4.48e-103 m):
+    # nearer, a cubed distance would be subnormal; just beyond it, 1e-9 C/m of 1e-300 m is a point charge
     code, out, err = run_cli(capsys, "field", "e-line", "--length", "1e-300", "--intervals", "1",
-                             "--at", "0,0,1e-13")
-    assert code == EXIT_DOMAIN
-    assert out == ""
-    assert "field point on source" in err
+                             "--at", "0,0,4.4e-103")
+    assert (code, out, err) == (EXIT_DOMAIN, "", "error: field point on source at 0,0,4.4e-103\n")
+    code, out, err = run_cli(capsys, "field", "e-line", "--length", "1e-300", "--intervals", "1",
+                             "--at", "0,0,4.6e-103")
+    assert (code, err) == (EXIT_OK, "")
+    assert float(out.split(",")[2]) == pytest.approx(9e-300 / 4.6e-103**2, rel=1e-8, abs=0)  # printed to 9 digits
+
+
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+def test_field_of_a_segment_too_short_to_square_is_computed(capsys, command):
+    # the chord's squared length, 1e-340 m^2, underflows to 0.0; its length must not
+    code, out, err = run_cli(capsys, command, "e-line", "--length", "1e-170", "--intervals", "1",
+                             *only_point(command, (0.0, 0.0, 1e-11)))
+    assert (code, err) == (EXIT_OK, "")
+    assert [float(c) for c in out.splitlines()[-1].split(",")[-3:]] == [0.0, 0.0, pytest.approx(9e-148, rel=1e-12, abs=0)]
+
+
+@pytest.mark.parametrize(("source", "point"), [
+    (("b-loop", "--radius", "1e-15"), (1e-13, 0.0, 0.0)),
+    (("b-loop", "--radius", "1e30"), (1e30, 0.0, 1e14)),
+    (("b-loop",), (1.0000049, 0.0, 0.0)),
+    (("e-line",), (0.0, 0.0, 0.5005)),
+    (("e-line", "--length", "1e-200"), (1e-150, 0.0, 0.0)),
+], ids=["tiny-loop-100-radii-out", "huge-loop-1e14-off", "loop-5e-6-off", "line-5e-4-past-its-end", "tiny-line"])
+@pytest.mark.parametrize("command", ["field", "field-grid"])
+def test_near_rule_is_the_same_at_every_scale(capsys, command, source, point):
+    # a point is on the source within about a piece and a half of it, whatever the source's size
+    code, out, err = run_cli(capsys, command, *source, *only_point(command, point))
+    if source[1:] == ("--radius", "1e-15"):  # 100 radii out: the dipole field, -mu0 I R^2 / 4 r^3 = -314.159 T
+        assert (code, err) == (EXIT_OK, "")
+        assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(-1e-7 * math.pi * 1e-30 / 1e-39, rel=1e-3)
+    else:
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == f"error: field point on source at {format_row(point)}\n"
 
 
 @pytest.mark.parametrize("command", ["field", "field-grid"])
@@ -696,7 +729,7 @@ def test_grid_single_point_matches_query(capsys):
     row = [float(p) for p in lines[1].split(",")]
     direct = magnetic_field_of_line_current(1.0, circular_loop(1.0))(Position(0, 0, 0.5))
     assert row[:3] == [0.0, 0.0, 0.5]
-    assert row[5] == pytest.approx(direct.z, rel=1e-12)
+    assert row[5] == pytest.approx(direct.z, rel=1e-12, abs=0)
 
 
 def test_grid_rows_follow_x_order(capsys):
@@ -749,14 +782,14 @@ def test_grid_on_source_names_offending_point(capsys):
 
 
 def test_grid_overflow_names_offending_point(capsys):
-    # overflowing at x = 1e-6, finite at x = 1: the grid stops at its first point
+    # overflowing at x = 0.01, finite at x = 1: the grid stops at its first point
     code, out, err = run_cli(
         capsys, "field-grid", "e-line", "--lambda", "1e298",
-        "--x-min", "1e-6", "--x-max", "1", "--x-count", "2",
+        "--x-min", "0.01", "--x-max", "1", "--x-count", "2",
     )
     assert code == EXIT_DOMAIN
     assert out == ""
-    assert "not finite at 1e-06,0,0" in err
+    assert "not finite at 0.01,0,0" in err
 
 
 @pytest.mark.parametrize("span", [("--x-min=1", "--x-max=1.5e308"), ("--x-min=-1e308", "--x-max=1e308")])

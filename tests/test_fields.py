@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechfield.errors import DomainError
 from mechfield.fields import (
@@ -93,6 +95,10 @@ class TestLineIntegral:
     def test_constant_field_gives_arc_length(self):
         for n in (1, 7, 100):
             assert line_integral(n, lambda p: 1.0, line_segment(2.0)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_chord_too_short_to_square_keeps_its_length(self):
+        # a 1e-170 m chord's square underflows to 0; its length is still 1e-170 m, not 0
+        assert line_integral(1, lambda p: 1.0, line_segment(1e-170)) == pytest.approx(1e-170, rel=1e-15, abs=0)
 
     def test_circumference_from_chords(self):
         total = line_integral(1000, lambda p: 1.0, circular_loop(1.0))
@@ -210,10 +216,10 @@ class TestElectricField:
             field(Position(0.0, 0.0, 0.5))
 
     def test_overflowing_evaluation_is_an_error_naming_the_point(self):
-        # 1e300 C/m at 1 um overflows the kernel: inf and nan, not a field value
-        field = electric_field_of_line_charge(lambda p: 1e300, line_segment(1.0))
-        with pytest.raises(DomainError, match="^field is not finite at 1e-06,0,0$"):
-            field(Position(1e-6, 0.0, 0.0))
+        # 1e308 C/m at 1 cm, ten pieces out, overflows the kernel: inf and nan, not a field value
+        field = electric_field_of_line_charge(lambda p: 1e308, line_segment(1.0))
+        with pytest.raises(DomainError, match="^field is not finite at 0.01,0,0$"):
+            field(Position(0.01, 0.0, 0.0))
         # finite in the sum, overflowing only in the scaling by the constant
         field = electric_field_of_line_charge(lambda p: 1e300, line_segment(1.0), 2)
         with pytest.raises(DomainError, match="^field is not finite at 0,0,2$"):
@@ -284,35 +290,56 @@ class TestMagneticField:
             field(Position(0.5, 0.5, -0.0))
 
     def test_overflowing_evaluation_is_an_error_naming_the_point(self):
+        # 1e308 A seen from 2 cm, three pieces out: each term's quotient overflows
         field = magnetic_field_of_line_current(1e308, circular_loop(1.0))
-        with pytest.raises(DomainError, match="^field is not finite at 1.000001,0,0$"):
-            field(Position(1.000001, 0.0, 0.0))
+        with pytest.raises(DomainError, match="^field is not finite at 1.02,0,0$"):
+            field(Position(1.02, 0.0, 0.0))
+
+    def test_not_a_number_point_ends_as_a_field_that_is_not_finite(self):
+        for field in (magnetic_field_of_line_current(1.0, circular_loop(1.0)),
+                      electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0))):
+            with pytest.raises(DomainError, match="^field is not finite at nan,0,0$"):
+                field(Position(math.nan, 0.0, 0.0))
 
     def test_curved_source_is_its_quadrature_polyline(self):
-        # with 4 intervals the source is a square plus the 4 midpoint samples;
-        # a point of the circle away from both is an ordinary field point
+        # with 4 intervals the source is a square plus the 4 midpoint samples, and its reach,
+        # three sample-to-vertex distances (2.296 m), covers the circle between them
         loop = circular_loop(1.0)
         field = magnetic_field_of_line_current(1.0, loop, 4)
-        b = field(loop.func(0.1))
-        assert all(math.isfinite(c) for c in b)
-        assert field(Position(0.5, 0.5, 1e-9)).magnitude() > 0.0  # 1e-9 m off a chord is off the source
+        for point in (loop.func(0.1), Position(0.5, 0.5, 1e-9)):
+            with pytest.raises(DomainError, match="field point on source"):
+                field(point)
+        assert field(Position(0.0, 0.0, 2.5)).z > 0.0  # 2.69 m from every sample: an ordinary field point
 
 
 class TestFarPoints:
-    """A point is refused where a term's cubed distance overflows (beyond about 5.6e102 m) to a silent 0, no nearer."""
+    """A point is refused where even the strongest sample's term would not be a normal float, no nearer.
+
+    That is where a cubed distance overflows (beyond about 5.6e102 m) and a term would be a silent 0,
+    or where the strongest term is a subnormal that has lost digits: a distance, for a given source.
+    """
 
     def test_electric_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
         field = electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0))
         with pytest.raises(DomainError, match=r"^field point too far from the source at 1e\+103,0,0$"):
             field(Position(1e103, 0.0, 0.0))
-        # 1 nC seen from 1e100 m away: a point charge
-        assert field(Position(1e100, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * 1e-9 / 1e200, rel=1e-9, abs=0)
+        # 1 nC seen from 1e99 m away: a point charge, each term a normal float
+        assert field(Position(1e99, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * 1e-9 / 1e198, rel=1e-9, abs=0)
+        # from 3e102 m each term, about 4e-317, is a subnormal that has lost digits: refused, not a blurred 1e-204
+        with pytest.raises(DomainError, match=r"^field point too far from the source at 3e\+102,0,0$"):
+            field(Position(3e102, 0.0, 0.0))
 
     def test_magnetic_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
         field = magnetic_field_of_line_current(1.0, circular_loop(1.0))
         with pytest.raises(DomainError, match=r"^field point too far from the source at 0,0,1e\+103$"):
             field(Position(0.0, 0.0, 1e103))
         assert field(Position(0.0, 0.0, 1e100)).z == pytest.approx(loop_field_on_axis(1.0, 1.0, 1e100), rel=1e-3, abs=0)
+
+    def test_a_steep_density_is_evaluated_near_the_source(self):
+        # samples out at |z| = 0.27 m have subnormal densities; their terms are negligible, not "too far"
+        field = electric_field_of_line_charge(lambda p: math.exp(-(p.z / 0.01) ** 2), line_segment(1.0))
+        charge = 0.01 * math.sqrt(math.pi)  # seen from 1 m: a point charge, less 1.5 <z^2> = 7.5e-5 of it
+        assert field(Position(1.0, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * charge * (1 - 7.5e-5), rel=1e-7)
 
     def test_a_point_whose_cubed_distances_stay_finite_is_evaluated(self):
         # mu0 I / 2R at the center of a 1e102 m loop (its 1000-chord polygon is 1.6e-6 short of the circle),
@@ -321,6 +348,35 @@ class TestFarPoints:
         assert b == pytest.approx(MU_0 / 2e102, rel=1e-5, abs=0)
         field = electric_field_of_line_charge(lambda p: 1.0, line_segment(1.0))
         assert field(Position(3e102, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT / 9e204, rel=1e-9, abs=0)
+
+
+class TestNearRuleAtEveryScale:
+    """A source and a point scaled together by 2**k get the same accept-or-refuse answer.
+
+    A unit source cut into at most 64 pieces reaches at least 2**-6 m, and no
+    point drawn here lies more than 6.2 m from it. So for k in [-330, 330] no
+    chord's square underflows, the reach's 2**-340 m floor does not bind, and
+    no term's cube overflows or leaves a unit strength's term subnormal.
+    """
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(kind=st.sampled_from(["e-line", "b-loop"]), intervals=st.integers(3, 64),
+           at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), k=st.integers(-330, 330))
+    def test_accept_or_refuse_is_the_same_at_every_scale(self, kind, intervals, at, k):
+        def refused(scale: float) -> bool:
+            if kind == "e-line":
+                field = electric_field_of_line_charge(lambda p: 1.0, line_segment(scale), intervals)
+            else:
+                field = magnetic_field_of_line_current(1.0, circular_loop(scale), intervals)
+            try:
+                field(Position(*(c * scale for c in at)))
+            except DomainError as error:
+                if "on source" not in str(error):
+                    raise
+                return True
+            return False
+
+        assert refused(1.0) == refused(2.0**k)
 
 
 # --- build once, evaluate many -------------------------------------------------
@@ -362,6 +418,20 @@ def oracle_points() -> list[Position]:
     return points
 
 
+def on_source(curve, intervals, point) -> bool:
+    """Whether ``point`` is nearer a sample than the reach, computed from the cut points.
+
+    The reach is three times the farthest a chord end lies from its own
+    sample, and at least 2**-340 m.
+    """
+    width = (curve.end - curve.start) / intervals
+    ends = [curve.func(curve.start + i * width) for i in range(intervals + 1)]
+    samples = [curve.func(curve.start + (i + 0.5) * width) for i in range(intervals)]
+    farthest = max(displacement(e, s).magnitude() for i, s in enumerate(samples) for e in ends[i:i + 2])
+    reach = max(3.0 * farthest, 2.0**-340)
+    return min(displacement(s, point).magnitude() for s in samples) < reach
+
+
 def counting_helix():
     calls = []
 
@@ -377,19 +447,31 @@ class TestBuiltOnce:
     def test_electric_field_matches_closure_oracle_bit_for_bit(self, intervals):
         curve = line_segment(1.3)
         oracle = curve._replace(func=functools.cache(curve.func))  # the same bits, cut once, not once per point
+        near = [on_source(oracle, intervals, point) for point in oracle_points()]
+        assert not all(near)
         for density in (lambda p: 1e-9 * (1.0 + p.z), lambda p: -2e-9):
             field = electric_field_of_line_charge(density, curve, intervals)
-            for point in oracle_points():
-                assert bits(field(point)) == bits(closure_e_field(density, oracle, intervals, point))
+            for point, refused in zip(oracle_points(), near):
+                if refused:
+                    with pytest.raises(DomainError, match="^field point on source at "):
+                        field(point)
+                else:
+                    assert bits(field(point)) == bits(closure_e_field(density, oracle, intervals, point))
 
     @pytest.mark.parametrize("intervals", [3, 7, 999, 1000])
     def test_magnetic_field_matches_closure_oracle_bit_for_bit(self, intervals):
         curve = circular_loop(0.8)
         oracle = curve._replace(func=functools.cache(curve.func))  # the same bits, cut once, not once per point
+        near = [on_source(oracle, intervals, point) for point in oracle_points()]
+        assert not all(near)
         for current in (1.5, -0.25):
             field = magnetic_field_of_line_current(current, curve, intervals)
-            for point in oracle_points():
-                assert bits(field(point)) == bits(closure_b_field(current, oracle, intervals, point))
+            for point, refused in zip(oracle_points(), near):
+                if refused:
+                    with pytest.raises(DomainError, match="^field point on source at "):
+                        field(point)
+                else:
+                    assert bits(field(point)) == bits(closure_b_field(current, oracle, intervals, point))
 
     def test_curve_sampled_only_when_field_is_built(self):
         n = 50

@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from mechfield.cli import EXIT_OK, main
+from mechfield.cli import EXIT_DOMAIN, EXIT_OK, main
 
 SIMULATE_ARGS = {
     "sho": ("--steps", "300"),
@@ -59,10 +59,10 @@ WIDE_GOLDEN = {
 FIELD_ARGS = {
     "field-b-loop": ("field", "b-loop", "--radius", "0.7", "--at", "0.3,0.2,0.5"),
     "field-e-line": ("field", "e-line", "--length", "2", "--at", "0.5,0.1,-0.2"),
-    "field-b-loop-intervals-3": ("field", "b-loop", "--radius", "0.7", "--intervals", "3", "--at", "0.3,0.2,0.5"),
+    "field-b-loop-intervals-3": ("field", "b-loop", "--radius", "0.7", "--intervals", "3", "--at", "0.3,0.2,2.5"),
     "field-b-loop-intervals-4999": ("field", "b-loop", "--radius", "0.7", "--intervals", "4999",
                                     "--at", "0.3,0.2,0.5"),
-    "field-e-line-intervals-1": ("field", "e-line", "--length", "2", "--intervals", "1", "--at", "0.5,0.1,-0.2"),
+    "field-e-line-intervals-1": ("field", "e-line", "--length", "2", "--intervals", "1", "--at", "0.5,0.1,-3.2"),
     "field-e-line-intervals-4999": ("field", "e-line", "--length", "2", "--intervals", "4999",
                                     "--at", "0.5,0.1,-0.2"),
     "field-grid-b-loop": ("field-grid", "b-loop", "--intervals", "200", "--x-max", "0.5",
@@ -74,9 +74,9 @@ FIELD_ARGS = {
 FIELD_GOLDEN = {
     "field-b-loop": "8bf5b159ea604c45497703166a5aa997bc0e621872a2184e8c92ea35760c11f9",
     "field-e-line": "5ca7ca04dc4bcfe0edd7ba7140a96455e60316269ef277d04ad0c71e2751cccc",
-    "field-b-loop-intervals-3": "9416f39d16ac70f06ff20221dcb5fab675967a2360d1bf257b4d18db29dc68a7",
+    "field-b-loop-intervals-3": "5535e828c7d497b4180e42dc82fe130e1f1407b50f6a34190cd5786f3e6f8929",
     "field-b-loop-intervals-4999": "a9a3105a74466b412ecbb8d7bfe365d048e07e0a632642fae269696c0216f3e9",
-    "field-e-line-intervals-1": "8b230681498cdf194b71c72ac7b2f0d312ec088c52a4286ab8308210a6a160c0",
+    "field-e-line-intervals-1": "26516f4f4f2a86d3eebbbf2941dabfefdc64811de36a77d876fb47f4133bf005",
     "field-e-line-intervals-4999": "736c6a3231ac72c040a999dd010c4064c54fa34a46edd4c64470cff60228ead5",
     "field-grid-b-loop": "dd56397260f948e3b2b671edebc637de05beb61023eb160835ef63475bba3d80",
     "field-grid-e-line": "64bf40f797834bfdbf1789c55725f1999e69f242d1b6b8dc3b1ddbfeff051760",
@@ -105,6 +105,17 @@ def test_wide_golden(capsys, case):
 @pytest.mark.parametrize("case", sorted(FIELD_GOLDEN))
 def test_field_golden(capsys, case):
     assert digest(capsys, FIELD_ARGS[case]) == FIELD_GOLDEN[case]
+
+
+@pytest.mark.parametrize("argv", [
+    ("b-loop", "--radius", "0.7", "--intervals", "3", "--at", "0.3,0.2,0.5"),
+    ("e-line", "--length", "2", "--intervals", "1", "--at", "0.5,0.1,-0.2"),
+], ids=["b-loop-intervals-3", "e-line-intervals-1"])
+def test_field_within_a_piece_of_the_source_is_refused(capsys, argv):
+    # the fewest-intervals cases' earlier points: within a piece and a half of a sample, so on the source
+    assert main(["field", *argv]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: field point on source at {argv[-1]}\n")
 
 
 def test_golden_covers_every_scenario_and_method():

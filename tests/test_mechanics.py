@@ -251,6 +251,22 @@ def test_gravity_refuses_bodies_whose_distance_cubed_overflows():
     assert a2 == -a1
 
 
+def test_gravity_refuses_a_pull_too_small_to_be_a_normal_float():
+    # G * 1 kg / (3e102 m)^3 is about 2.5e-318, a subnormal that has lost digits: refused, not a blurred 7.4e-216
+    accel = gravity_accel([1.0, 1.0])
+    with pytest.raises(DomainError, match="^gravitating bodies too far apart$"):
+        accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(3e102, 0, 0), ZERO)]))
+    a1, _ = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(1e99, 0, 0), ZERO)])))
+    assert a1.x == pytest.approx(G / 1e198, rel=1e-12, abs=0)
+
+
+def test_gravity_pulls_a_heavy_body_toward_a_light_one_near_it():
+    # the light body's pull, about 6.7e-311, is a negligible subnormal: the bodies are 1 m apart, not too far
+    a1, a2 = triples(accel_at(gravity_accel([1e-300, 1.0]), system(0.0, [(ZERO, ZERO), (X_HAT, ZERO)])))
+    assert a1 == Vec3(G, 0.0, 0.0)
+    assert a2.x == pytest.approx(-G * 1e-300, rel=1e-6, abs=0)
+
+
 def test_gravity_rejects_wrong_particle_count():
     with pytest.raises(ValueError):
         accel_at(gravity_accel([1.0, 1.0]), one_particle_system(ZERO, ZERO))

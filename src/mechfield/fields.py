@@ -12,9 +12,10 @@ between the piece's endpoints (its length for plain line integrals, the
 chord vector itself for the crossed variant). No tangent vectors are
 required of the caller, and the scheme is second order: halving the
 interval width cuts the error about four-fold for smooth integrands.
-A field builder cuts its curve once, when the field is built; the field
-then runs a flat E or B kernel over the stored pieces, and counts a point
-within about a piece and a half of a sample, at any scale, as on the source.
+A field builder cuts its curve once, when the field is built, and keeps
+per piece only what its kernel reads: E the sample, its density and its
+chord's length, B the sample and its chord. A point within about a piece
+and a half of a sample, at any scale, counts as on the source.
 """
 
 from __future__ import annotations
@@ -130,9 +131,8 @@ def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, 
             raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
 
 
-def _length(chord: Iterable[float]) -> float:
+def _length(x: float, y: float, z: float) -> float:
     """A chord's length: the root of its squares, or ``math.hypot`` where they underflow (below about 1.5e-154 m)."""
-    x, y, z = chord
     squared = x * x + y * y + z * z
     return math.sqrt(squared) if squared >= _TINY else math.hypot(x, y, z)
 
@@ -143,7 +143,7 @@ def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) 
     Midpoint samples weighted by chord lengths; see the module docstring.
     A constant field integrates to (constant) * (polyline arc length).
     """
-    terms = (field(s) * _length(displacement(a, b)) for a, s, b in _pieces(intervals, curve))
+    terms = (field(s) * _length(*displacement(a, b)) for a, s, b in _pieces(intervals, curve))
     return reduce(operator.add, terms)
 
 
@@ -158,24 +158,22 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
     return sum((field(s).cross(displacement(a, b)) for a, s, b in _pieces(intervals, curve)), ZERO)
 
 
-def _quadrature(intervals: int, curve: Curve, strength: ScalarField) -> tuple[list[array], float]:
-    """A curve's pieces as seven flat float columns, and the reach of their samples.
+def _quadrature(intervals: int, curve: Curve, record: Callable[..., Iterable[float]]) -> tuple[array, float]:
+    """A curve's pieces as one flat float array, and the reach of their samples.
 
-    Per piece: sample x, y, z, the source strength there and chord x, y, z.
-    The reach, three times the farthest a chord end lies from its own
-    sample and at least 2**-340 m, covers every point within one chord
-    length of a chord or a sample: no chord is longer than twice that
-    farthest distance.
+    Per piece, in parameter order: ``record(sample, cx, cy, cz)``, the floats a kernel
+    reads of it, given its midpoint sample and chord. The reach, three times the farthest
+    a chord end lies from its own sample and at least 2**-340 m, covers every point within
+    one chord length of a chord or a sample: no chord is longer than twice that distance.
     """
-    columns = [array("d") for _ in range(7)]
-    sx, sy, sz, q, cx, cy, cz = (column.append for column in columns)
+    pieces = array("d")
     farthest = 0.0  # squared, from a sample to the farther end of its chord
     for start, sample, end in _pieces(intervals, curve):
         x, y, z, a, b, c = sample.x, sample.y, sample.z, start.x, start.y, start.z
-        sx(x), sy(y), sz(z), q(strength(sample)), cx(end.x - a), cy(end.y - b), cz(end.z - c)
+        pieces.extend(record(sample, end.x - a, end.y - b, end.z - c))
         ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
         farthest = max(farthest, ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz)
-    return columns, max(3.0 * math.sqrt(farthest), _NEAREST)
+    return pieces, max(3.0 * math.sqrt(farthest), _NEAREST)
 
 
 def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
@@ -206,15 +204,15 @@ def electric_field_of_line_charge(
     about 3.6e102 m for 1 C/m, nearer for weaker charge), or where the sum
     overflows, raises :class:`DomainError` naming the point, not garbage.
     """
-    (xs, ys, zs, charge, cxs, cys, czs), reach = _quadrature(intervals, curve, density)
-    length = array("d", map(_length, zip(cxs, cys, czs)))
+    pieces, reach = _quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z, density(s), _length(cx, cy, cz)))
     # the cube from which even the densest sample's term is not a normal float, or inf for no charge
-    far = max(map(abs, charge)) / _TINY or math.inf
+    far = max(map(abs, pieces[3::5])) / _TINY or math.inf
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
         ex = ey = ez = -0.0  # -0.0 + t == t for every t: the sum starts from its first term
-        for sx, sy, sz, q, w in zip(xs, ys, zs, charge, length):
+        terms = iter(pieces)
+        for sx, sy, sz, q, w in zip(terms, terms, terms, terms, terms):
             dx, dy, dz = px - sx, py - sy, pz - sz
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
@@ -245,13 +243,14 @@ def magnetic_field_of_line_current(
     the point.
     """
     strength = -current
-    (xs, ys, zs, weight, cxs, cys, czs), reach = _quadrature(intervals, curve, lambda _source: strength)
+    pieces, reach = _quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z, cx, cy, cz))
     far = abs(current) / _TINY or math.inf  # as for the E field
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
         bx = by = bz = 0.0
-        for sx, sy, sz, q, cx, cy, cz in zip(xs, ys, zs, weight, cxs, cys, czs):
+        terms = iter(pieces)
+        for sx, sy, sz, cx, cy, cz in zip(terms, terms, terms, terms, terms, terms):
             dx, dy, dz = px - sx, py - sy, pz - sz
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
@@ -259,7 +258,7 @@ def magnetic_field_of_line_current(
             cube = dist * dist * dist
             if cube >= far:
                 raise _refused("too far from the source", (px, py, pz))
-            s = q / cube
+            s = strength / cube
             dx, dy, dz = dx * s, dy * s, dz * s
             bx += dy * cz - dz * cy
             by += dz * cx - dx * cz

@@ -147,10 +147,10 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
     chain supports standing waves. Displacements are full 3D vectors, so
     both longitudinal and transverse motion work; which one you get is a
     matter of initial conditions. Like :func:`gravity_accel`, it is built
-    for its count and refuses a state of any other size; a right anchor
-    beyond the largest float is a ``ValueError`` when it is built. Two
-    neighbors at the same point are a :class:`DomainError`. Each spring is
-    computed once and pulls its two ends with opposite signs.
+    for its count and refuses a state of any other size; a right anchor or
+    a ``1 / mass`` beyond the largest float is a ``ValueError`` when it is
+    built. Two neighbors at the same point are a :class:`DomainError`. Each
+    spring is computed once and pulls its two ends with opposite signs.
     """
     if count < 1:
         raise ValueError("spring chain needs at least one particle")
@@ -160,6 +160,8 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
     if not math.isfinite(anchor):
         raise ValueError("spring chain lattice is not finite")
     inverse_mass = 1.0 / mass
+    if not math.isfinite(inverse_mass):
+        raise ValueError("spring chain inverse mass 1 / mass is not finite")
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * count:
@@ -191,11 +193,14 @@ def pendulum_accel(g: float, length: float) -> AccelerationFunction:
     The state's one coordinate is the angle (rad) and its velocity the
     angular velocity (rad/s). This is the point-pendulum equation; a
     physical pendulum reduces to it with ``length`` read as I / (m d).
-    An infinite angle is a :class:`DomainError`.
+    A rate g / length beyond the largest float is a ``ValueError`` when it
+    is built, an infinite angle a :class:`DomainError`.
     """
     if not (0.0 < g < math.inf and 0.0 < length < math.inf):
         raise ValueError("g and length must be positive and finite")
     rate = g / length
+    if not math.isfinite(rate):
+        raise ValueError("pendulum rate g / length is not finite")
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[float]:
         try:

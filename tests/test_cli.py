@@ -467,6 +467,27 @@ def test_spring_chain_whose_lattice_overflows_is_usage_error(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize(
+    ("scenario", "options", "quantity"),
+    [
+        ("pendulum", ("--length", "1e-310", "--steps", "0"), "pendulum rate g / length"),
+        ("pendulum", ("--g", "1e308", "--length", "0.5"), "pendulum rate g / length"),
+        ("spring-chain", ("--particles", "2", "--mass", "1e-310"), "spring chain inverse mass 1 / mass"),
+    ],
+    ids=["pendulum-length-steps-0", "pendulum-g", "spring-chain-mass"],
+)
+def test_parameter_ratio_that_overflows_is_usage_error(tmp_path, capsys, monkeypatch, scenario, options, quantity):
+    # refused when the scenario is built, not as a state that is not finite after its first step
+    calls = counting_scenario(monkeypatch, scenario)
+    argv = ("simulate", scenario, *options)
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run.csv"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {quantity} is not finite\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv)[:2] == (EXIT_USAGE, "")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("simulate", "sho", "--dt", "nan"),

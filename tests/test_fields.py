@@ -1,8 +1,10 @@
 """Curve, quadrature, and field-builder tests."""
 
 import functools
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -494,9 +496,32 @@ class TestBuiltOnce:
             return 1e-9 * p.z
 
         field = electric_field_of_line_charge(density, line_segment(1.0), 25)
-        assert len(seen) == 25
+        assert seen == [Position(0.0, 0.0, -0.5 + (i + 0.5) * (1.0 / 25)) for i in range(25)]  # in parameter order
         field(Position(1.0, 2.0, 3.0))
         assert len(seen) == 25
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0), n),
+            lambda n: magnetic_field_of_line_current(1.0, circular_loop(1.0), n),
+        ],
+        ids=["electric", "magnetic"],
+    )
+    def test_build_keeps_only_what_its_kernel_reads(self, build):
+        # E keeps 5 floats a piece (sample, density, chord length), B 6 (sample, chord); the bound
+        # is B's 6 floats and half a float for the array's growth
+        n = 5000
+        build(n)  # first-use allocations outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / n <= 6.5 * 8
 
     def test_one_field_at_many_points_equals_a_fresh_field_per_point(self):
         curve, _ = counting_helix()

@@ -494,6 +494,22 @@ def test_every_builder_refuses_a_parameter_that_is_not_finite(builder, value):
     assert not isinstance(raised.value, DomainError)
 
 
+@pytest.mark.parametrize(
+    ("build", "quantity"),
+    [
+        (lambda: pendulum_accel(9.8, 1e-310), "pendulum rate g / length"),
+        (lambda: pendulum_accel(1e308, 0.5), "pendulum rate g / length"),
+        (lambda: spring_chain_accel(2, 1.0, 1.0, 1e-310), "spring chain inverse mass 1 / mass"),
+    ],
+    ids=["pendulum-length-1e-310", "pendulum-g-1e308", "spring-chain-mass-1e-310"],
+)
+def test_every_builder_refuses_finite_parameters_whose_ratio_overflows(build, quantity):
+    # each parameter is finite, but the rate the acceleration multiplies by is inf
+    with pytest.raises(ValueError, match=f"^{quantity} is not finite$") as raised:
+        build()
+    assert not isinstance(raised.value, DomainError)
+
+
 @pytest.mark.parametrize("theta", [math.inf, -math.inf])
 def test_pendulum_infinite_angle_is_domain_error(theta):
     with pytest.raises(DomainError, match="^pendulum angle is not finite$"):

@@ -18,7 +18,9 @@ the exit code: 2 for usage errors (``ValueError``, or ``OverflowError``
 from an int flag beyond the float range), 3 for domain errors
 (``DomainError``, which the library raises for a point on a field's source
 or too far from it, or a state or field value that is not finite, naming
-the step or point), 4 when ``--out`` or the spool cannot be written.
+the step or point), 4 when ``--out`` or the spool cannot be written, or,
+before any computation, when the output would go to a closed stdout. With
+stderr closed, the error text is dropped and the exit code stays.
 """
 
 from __future__ import annotations
@@ -268,9 +270,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if sys.stdout is None and getattr(args, "out", None) is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         args.handler(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # closed, print would fall back to stdout
+            print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
     return EXIT_OK
 

@@ -13,9 +13,9 @@ Each function performs its floating-point operations in the order of the
 equivalent ``Vec3`` expression (sums start from 0.0, magnitudes are
 ``sqrt(x*x + y*y + z*z)``): the CSV bytes, and the golden hashes in the
 tests, depend on that order. The spring chain computes each spring once and
-applies it to both ends with opposite signs (Newton's third law): IEEE
-negation is exact and ``0.0 - t`` is ``0.0 + (-t)``, signed zeros too, so the
-bytes are those of summing each particle's two neighbor pulls.
+gravity each pair once, applying it to both ends with opposite signs (Newton's
+third law): IEEE negation is exact and ``a - t`` is ``a + (-t)``, signed zeros
+too, so the bytes are those of summing each particle's pulls in partner order.
 """
 
 from __future__ import annotations
@@ -96,42 +96,40 @@ def damped_driven_osc(beta: float, drive_amp: float, drive_freq: float) -> Accel
 def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     """Mutual Newtonian gravitation between point masses.
 
-    The returned function expects exactly ``len(masses)`` particles and
-    gives particle i the acceleration sum over j != i of
-    G m_j (r_j - r_i) / |r_j - r_i|^3. There is no softening: particles
-    closer than 1e-6 m, or so far apart that even the heaviest body's pull
-    G m / |r_j - r_i|^3 would not be a normal float (from about 1.4e99 m for
-    1 kg), are a :class:`DomainError`, not a silent fudge or a silent 0.
+    The returned function expects exactly ``len(masses)`` particles and gives
+    particle i the sum over j != i of G m_j (r_j - r_i) / |r_j - r_i|^3,
+    computing each pair once for both bodies. There is no softening: bodies
+    closer than 1e-6 m, or so far apart that even the heaviest pull
+    G m / |r_j - r_i|^3 is not a normal float (from about 1.4e99 m for 1 kg),
+    are a :class:`DomainError`, not a silent fudge or a silent 0.
     """
     ms = tuple(float(m) for m in masses)
     if not ms or any(not 0.0 < m < math.inf for m in ms):
         raise ValueError("masses must be a non-empty sequence of positive, finite values")
-    far = GRAVITATIONAL_CONSTANT * max(ms) / sys.float_info.min  # the cube from which that pull is not normal
+    gm = tuple(GRAVITATIONAL_CONSTANT * m for m in ms)  # each body's pull at a unit cube
+    far = max(gm) / sys.float_info.min  # the cube from which the heaviest pull is not normal
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * len(ms):
             raise ValueError(f"gravity state has {len(q)} coordinates, not 3 for each of {len(ms)} masses")
-        points = [q[i:i + 3] for i in range(0, len(q), 3)]
-        out: list[float] = []
-        for i, (xi, yi, zi) in enumerate(points):
-            ax = ay = az = 0.0
-            for j, (xj, yj, zj) in enumerate(points):
-                if j == i:
-                    continue
-                dx = xj - xi
-                dy = yj - yi
-                dz = zj - zi
+        out = [0.0] * len(q)
+        for i in range(0, len(q), 3):  # each pair (i, j) once, i < j
+            xi, yi, zi = q[i:i + 3]
+            for j in range(i + 3, len(q), 3):
+                dx, dy, dz = q[j] - xi, q[j + 1] - yi, q[j + 2] - zi
                 dist = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
                 cube = dist * dist * dist
                 if cube >= far:
                     raise DomainError("gravitating bodies too far apart")
-                scale = GRAVITATIONAL_CONSTANT * ms[j] / cube
-                ax = ax + dx * scale
-                ay = ay + dy * scale
-                az = az + dz * scale
-            out += (ax, ay, az)
+                on_i, on_j = gm[j // 3] / cube, gm[i // 3] / cube
+                out[i] += dx * on_i
+                out[i + 1] += dy * on_i
+                out[i + 2] += dz * on_i
+                out[j] -= dx * on_j
+                out[j + 1] -= dy * on_j
+                out[j + 2] -= dz * on_j
         return out
 
     return accel

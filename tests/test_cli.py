@@ -1,5 +1,6 @@
 """CLI contract tests: CSV schemas, determinism, exit codes, all-or-nothing output."""
 
+import errno
 import math
 import os
 import stat
@@ -365,6 +366,52 @@ def test_run_failing_past_the_spool_memory_prints_nothing(capsys, monkeypatch):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "not finite at step 133" in err
     assert len(spools) == 1 and spools[0].closed
+
+
+# --- closed standard streams ------------------------------------------------------
+
+CLOSED_STDOUT_ERROR = f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+
+
+@pytest.mark.parametrize("argv", [("simulate", "sho", "--steps", "2"), ("field", "b-loop", "--at", "0,0,1"),
+                                  ("field-grid", "b-loop")], ids=lambda argv: argv[0])
+def test_closed_stdout_is_io_error_before_any_computation(capsys, monkeypatch, argv):
+    builds = []
+    monkeypatch.setattr(cli, "magnetic_field_of_line_current", lambda *args: builds.append(args))
+    calls = counting_scenario(monkeypatch, "sho")
+    monkeypatch.setattr(sys, "stdout", None)  # as when the process starts with file descriptor 1 closed
+    assert main(list(argv)) == EXIT_IO
+    assert (builds, calls) == ([], [])
+    assert capsys.readouterr().err == CLOSED_STDOUT_ERROR
+
+
+def test_closed_stdout_does_not_stop_a_run_to_out(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run.csv"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["simulate", "sho", "--steps", "2", "--out", str(path)]) == EXIT_OK
+    monkeypatch.undo()
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2") == (EXIT_OK, path.read_text(), "")
+
+
+@pytest.mark.parametrize("argv", [("field", "e-line", "--at", "0,0,0"), ("simulate", "sho", "--dt", "2.5", "--steps", "2000")],
+                         ids=lambda argv: argv[0])
+def test_closed_stderr_keeps_the_error_text_off_stdout(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stderr", None)  # as when the process starts with file descriptor 2 closed
+    assert main(list(argv)) == EXIT_DOMAIN
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, closed, expected", [
+    (("simulate", "sho", "--steps", "2"), 1, (EXIT_IO, b"", CLOSED_STDOUT_ERROR.encode())),
+    (("simulate", "sho", "--dt", "2.5", "--steps", "2000"), 2, (EXIT_DOMAIN, b"", b"")),
+], ids=["stdout", "stderr"])
+def test_closed_stream_of_a_real_process(argv, closed, expected):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    # the shell closes the descriptor before the interpreter starts, which then sets that stream to None
+    command = ["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "mechfield", *argv]
+    proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 # Prints the run's peak resident set size (KiB on Linux) on stderr after its exit code is known.

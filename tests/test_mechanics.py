@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -265,6 +266,87 @@ def test_gravity_pulls_a_heavy_body_toward_a_light_one_near_it():
     a1, a2 = triples(accel_at(gravity_accel([1e-300, 1.0]), system(0.0, [(ZERO, ZERO), (X_HAT, ZERO)])))
     assert a1 == Vec3(G, 0.0, 0.0)
     assert a2.x == pytest.approx(-G * 1e-300, rel=1e-6, abs=0)
+
+
+def test_gravity_computes_each_pair_once(monkeypatch):
+    roots = []
+    sqrt = math.sqrt
+    accel = gravity_accel([1.0] * 6)
+    q = [float(c) for i in range(6) for c in (i, i * i, -i)]
+    monkeypatch.setattr(math, "sqrt", lambda x: roots.append(x) or sqrt(x))
+    accel(0.0, q, [0.0] * 18)
+    assert len(roots) == 15  # 6 * 5 / 2 pairs, not 30 ordered ones
+
+
+def ordered_pairs_oracle(masses):
+    """The gravity kernel before it computed each pair once: every body visits every other body."""
+    ms = tuple(float(m) for m in masses)
+    far = G * max(ms) / sys.float_info.min
+
+    def accel(t, q, v):
+        points = [q[i:i + 3] for i in range(0, len(q), 3)]
+        out = []
+        for i, (xi, yi, zi) in enumerate(points):
+            ax = ay = az = 0.0
+            for j, (xj, yj, zj) in enumerate(points):
+                if j == i:
+                    continue
+                dx = xj - xi
+                dy = yj - yi
+                dz = zj - zi
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if dist < 1e-6:
+                    raise DomainError("gravitational singularity")
+                cube = dist * dist * dist
+                if cube >= far:
+                    raise DomainError("gravitating bodies too far apart")
+                scale = G * ms[j] / cube
+                ax = ax + dx * scale
+                ay = ay + dy * scale
+                az = az + dz * scale
+            out += (ax, ay, az)
+        return out
+
+    return accel
+
+
+def gravity_state(rng: random.Random, count: int) -> list[float]:
+    """Coordinates that mix signed zeros, ones, shared values, near and coincident bodies and far ones."""
+    q: list[float] = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0 and q:  # coincident with, or nearer than 1e-6 m to, an earlier body
+            i = 3 * rng.randrange(len(q) // 3)
+            q += (c + rng.choice((0.0, 3e-7, -5e-7)) for c in q[i:i + 3])
+        elif kind == 1:  # far: past `far` for most masses
+            q += (rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(100, 120) for _ in range(3))
+        else:
+            q += (rng.choice((0.0, -0.0, 1.0, -1.0, rng.choice(q) if q else 0.0, rng.uniform(-1e3, 1e3)))
+                  for _ in range(3))
+    return q
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_gravity_matches_the_ordered_pairs_oracle_bit_for_bit(count):
+    rng = random.Random(40 + count)
+    outcomes = {"value": 0, "gravitational singularity": 0, "gravitating bodies too far apart": 0}
+    for _ in range(400):
+        masses = [10.0 ** rng.uniform(-5, 30) for _ in range(count)]
+        q = gravity_state(rng, count)
+        v = [0.0] * len(q)
+        try:
+            expected = repr(ordered_pairs_oracle(masses)(0.0, q, v))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                gravity_accel(masses)(0.0, q, v)
+            assert str(raised.value) == str(exc)
+            outcomes[str(exc)] += 1
+        else:
+            assert repr(gravity_accel(masses)(0.0, q, v)) == expected
+            outcomes["value"] += 1
+    assert outcomes["value"] > 0
+    if count > 1:  # a single body has no pair to refuse
+        assert min(outcomes.values()) > 0, outcomes
 
 
 def test_gravity_rejects_wrong_particle_count():

@@ -8,19 +8,20 @@ Scenarios and field source kinds declare each parameter once, with its
 default and help. One helper makes a flag of each, its help ending in the
 default, and one resolver overlays the flags given on the defaults.
 ``simulate`` steps the scenario's differential equation with any one of
-``METHODS``. Both CSV commands hand their header and rows of floats to one
-all-or-nothing writer, the only place CSV text is made, and identical
-invocations give byte-identical output. It streams to every destination:
-a regular file through a sibling renamed onto it, stdout or a device
-through a spool that moves from memory to a temporary file past its
-first MiB. Commands raise, and :func:`main` maps the error to
-the exit code: 2 for usage errors (``ValueError``, or ``OverflowError``
-from an int flag beyond the float range), 3 for domain errors
-(``DomainError``, which the library raises for a point on a field's source
-or too far from it, or a state or field value that is not finite, naming
-the step or point), 4 when ``--out`` or the spool cannot be written, or,
-before any computation, when the output would go to a closed stdout. With
-stderr closed, the error text is dropped and the exit code stays.
+``METHODS``. Each command returns its lines of text to one all-or-nothing
+writer, which opens the output before it asks for the first line, and
+identical invocations give byte-identical output. It streams to every
+destination: a regular file through a sibling renamed onto it, stdout or
+a device through a spool that moves from memory to a temporary file past
+its first MiB. Commands raise, and :func:`main` maps the error to the exit
+code: 2 for usage errors (``ValueError``, or ``OverflowError`` from an int
+flag beyond the float range), 3 for domain errors (``DomainError``, which
+the library raises for a point on a field's source or too far from it, or
+a state or field value that is not finite, naming the step or point), 4
+when ``--out`` or the spool cannot be written or the output would go to a
+closed stdout, found before the command's own checks and any computation
+unless it is the spool. With stderr closed, the error text is dropped and
+the exit code stays.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_param_flags(p, FIELD_SOURCES)
         p.add_argument("--intervals", type=int, default=1000, help="quadrature intervals (default %(default)s)")
     field.add_argument("--at", type=_point, required=True, metavar="X,Y,Z", help="field point, meters")
-    field.set_defaults(handler=_cmd_field)
+    field.set_defaults(handler=_cmd_field, out=None)
 
     for axis in "xyz":
         grid.add_argument(f"--{axis}-min", type=_finite_float, default=0.0, help=f"grid {axis} start, m")
@@ -156,22 +157,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(out: str | None, header: str, rows: Iterable[Iterable[float]]) -> None:
-    """Write the header and one line per row all or nothing: to the file ``out``, or to stdout when it is None.
+def _write_lines(out: str | None, make: Callable[[], Iterable[str]]) -> None:
+    """Open the file ``out``, or stdout when it is None, then write the lines ``make()`` returns, all or nothing.
 
-    A regular file, new or existing, is written through a sibling opened
-    before the first row is made and renamed onto it, with its old
-    permissions, after the last. Stdout, and anything else at ``out`` such
-    as a device or a pipe (opened first), gets the text of a spool after
-    the last row.
+    ``make`` runs only once the output is open, so a refused output makes
+    nothing. A regular file, new or existing, gets a sibling renamed onto
+    it, with its old permissions, after the last line. Stdout, and anything
+    else at ``out`` such as a device or a pipe, gets the text of a spool
+    after the last line.
     """
-    lines = chain((header,), map(format_row, rows))
     if out == "":
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if out is None and sys.stdout is None:  # the process started with stdout closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     existing = out is not None and os.path.isfile(out)
     if out is None or (not existing and os.path.exists(out)):  # opening a directory fails here
         with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
-            _spool_to(handle, lines)
+            _spool_to(handle, iter(make()))  # a list too: the spool resumes its iterator
         return
     if existing and not os.access(out, os.W_OK):  # a rename asks only the directory
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
@@ -180,7 +182,7 @@ def _write_csv(out: str | None, header: str, rows: Iterable[Iterable[float]]) ->
         with open(partial, "w", encoding="utf-8", newline="") as handle:
             if existing:
                 os.chmod(partial, stat.S_IMODE(os.stat(out).st_mode))
-            for line in lines:
+            for line in make():
                 handle.write(line + "\n")
         os.replace(partial, out)
     except OSError as exc:  # name the user's path, not the sibling
@@ -226,7 +228,7 @@ def _resolve(label: str, owners: Mapping[str, Scenario | _FieldSource], name: st
     return {key: param.default if given[key] is None else given[key] for key, param in owners[name].params.items()}
 
 
-def _cmd_simulate(args: argparse.Namespace) -> None:
+def _cmd_simulate(args: argparse.Namespace) -> Iterable[str]:
     scenario = SCENARIOS[args.scenario]
     dt = scenario.dt if args.dt is None else args.dt
     steps = scenario.steps if args.steps is None else args.steps
@@ -238,18 +240,18 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         raise ValueError(f"--steps must be at most {sys.maxsize - 1}")
     run = scenario.build(_resolve("scenario", SCENARIOS, args.scenario, args))
     states = solution_stream(METHODS[args.method], dt, run.equation, run.initial)
-    _write_csv(args.out, run.header, map(run.row, islice(states, steps + 1)))
+    return chain((run.header,), map(format_row, map(run.row, islice(states, steps + 1))))
 
 
 def _make_field(args: argparse.Namespace) -> VectorField:
     return FIELD_SOURCES[args.kind].build(_resolve("source", FIELD_SOURCES, args.kind, args), args.intervals)
 
 
-def _cmd_field(args: argparse.Namespace) -> None:
-    print(",".join(f"{component:.9g}" for component in _make_field(args)(args.at)))
+def _cmd_field(args: argparse.Namespace) -> Iterable[str]:
+    return [",".join(f"{component:.9g}" for component in _make_field(args)(args.at))]
 
 
-def _cmd_field_grid(args: argparse.Namespace) -> None:
+def _cmd_field_grid(args: argparse.Namespace) -> Iterable[str]:
     if min(args.x_count, args.y_count, args.z_count) < 1:
         raise ValueError("grid counts must be >= 1")
     axes = []
@@ -261,7 +263,7 @@ def _cmd_field_grid(args: argparse.Namespace) -> None:
         axes.append(values)
     field = _make_field(args)
     # product varies its last axis fastest: one row (x, y, z, Fx, Fy, Fz) per point, z fastest
-    _write_csv(args.out, "x,y,z,Fx,Fy,Fz", ((*point, *field(Position(*point))) for point in product(*axes)))
+    return chain(("x,y,z,Fx,Fy,Fz",), (format_row((*point, *field(Position(*point)))) for point in product(*axes)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -270,9 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if sys.stdout is None and getattr(args, "out", None) is None:  # the process started with stdout closed
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-        args.handler(args)
+        _write_lines(args.out, functools.partial(args.handler, args))
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         if sys.stderr is not None:  # closed, print would fall back to stdout
             print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ Every evolution method is ``method(equation, dt, state) -> state``.
 :func:`euler_method` and :func:`rk4_method` are written once, component by
 component, so they run on any flat tuple, including first-order ones such
 as ``(y,)`` for y' = y. :func:`euler_cromer_method` reads the velocities'
-half of the rate, so it needs the second-order layout. A derivative with
-the wrong number of components raises ``ValueError`` instead of being cut
-short to fit.
+half of the rate, so it needs the second-order layout, and the equation
+:func:`second_order_equation` builds refuses a state of even length, which
+has no such layout. A derivative with the wrong number of components raises
+``ValueError`` instead of being cut short to fit.
 
 The independent variable is always time, in seconds.
 """
@@ -57,10 +58,13 @@ def second_order_equation(accel: AccelerationFunction) -> DifferentialEquation:
     """First-order form of a second-order system.
 
     Time runs at unit rate, each coordinate changes at its velocity, and
-    each velocity at the acceleration supplied by ``accel``.
+    each velocity at the acceleration supplied by ``accel``. A state of
+    even length has no ``(t, q..., v...)`` layout and raises ``ValueError``.
     """
 
     def equation(y: State) -> State:
+        if not len(y) % 2:  # the halves below would shift by one: q would take a velocity
+            raise ValueError(f"a state of {len(y)} components is not (t, q..., v...)")
         n = len(y) // 2
         v = y[n + 1:]
         return (1.0, *v, *accel(y[0], y[1:n + 1], v))

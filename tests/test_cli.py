@@ -181,6 +181,19 @@ def test_unwritable_out_fails_before_any_step(tmp_path, capsys, monkeypatch, met
     assert list(tmp_path.rglob("*.partial")) == []
 
 
+@pytest.mark.parametrize("argv", [("simulate", "sho", "--steps", "2"), ("field-grid", "b-loop", "--intervals", "10")],
+                         ids=lambda argv: argv[0])
+def test_unwritable_out_fails_before_anything_is_built(tmp_path, capsys, monkeypatch, argv):
+    builds, scenario = [], SCENARIOS["sho"]
+    monkeypatch.setitem(SCENARIOS, "sho", scenario._replace(build=lambda params: builds.append(params) or scenario.build(params)))
+    monkeypatch.setattr(cli, "magnetic_field_of_line_current",
+                        lambda *args: builds.append(args) or magnetic_field_of_line_current(*args))
+    path = tmp_path / "missing" / "x.csv"
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == EXIT_IO
+    assert builds == []
+    assert run_cli(capsys, *argv)[0] == EXIT_OK and len(builds) == 1  # the same run to stdout builds once
+
+
 def test_empty_out_fails_before_any_step(tmp_path, capsys, monkeypatch):
     calls = counting_scenario(monkeypatch, "ddho")
     monkeypatch.chdir(tmp_path)
@@ -391,6 +404,18 @@ def test_closed_stdout_does_not_stop_a_run_to_out(tmp_path, capsys, monkeypatch)
     assert main(["simulate", "sho", "--steps", "2", "--out", str(path)]) == EXIT_OK
     monkeypatch.undo()
     assert run_cli(capsys, "simulate", "sho", "--steps", "2") == (EXIT_OK, path.read_text(), "")
+
+
+@pytest.mark.parametrize("argv", [("simulate", "sho", "--dt", "-1"), ("field-grid", "b-loop", "--radius", "-1")],
+                         ids=lambda argv: argv[0])
+def test_output_error_comes_before_the_commands_own_checks(tmp_path, capsys, monkeypatch, argv):
+    assert run_cli(capsys, *argv)[0] == EXIT_USAGE  # written to an open stdout, the command's own check speaks
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (EXIT_IO, "") and str(path) in err
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(list(argv)) == EXIT_IO
+    assert capsys.readouterr().err == CLOSED_STDOUT_ERROR
 
 
 @pytest.mark.parametrize("argv", [("field", "e-line", "--at", "0,0,0"), ("simulate", "sho", "--dt", "2.5", "--steps", "2000")],

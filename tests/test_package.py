@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import mechfield
 from mechfield import errors, fields, mechanics, solver, vectors
+from mechfield.cli import EXIT_OK, main
 
 LAYERS = (errors, vectors, solver, mechanics, fields)
 
@@ -47,3 +49,19 @@ def test_readme_python_blocks_run(capsys):
     namespace = {}
     exec(integrator, namespace)
     assert next(namespace["orbit"]) == (0.0, 7e6, 0.0, 0.0, 0.0, 7548.57, 0.0)
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```$", readme, re.M | re.S).group(1)
+    printed = dict(re.findall(r"^mechfield (.*)\n# -> (.*)$", block, re.M))  # a command's output, as its comment gives it
+    assert list(printed.values()) == ["0,0,6.28317497e-07"]
+    monkeypatch.chdir(tmp_path)
+    commands = re.findall(r"^mechfield (.*)$", block, re.M)
+    for command in commands:
+        assert main(shlex.split(command)) == EXIT_OK, command
+        out = capsys.readouterr().out
+        if command in printed:
+            assert out == printed[command] + "\n"
+    assert len(commands) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["axis.csv", "three_body.csv"]

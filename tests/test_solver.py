@@ -8,7 +8,7 @@ import pytest
 
 from mechfield.cli import METHODS
 from mechfield.errors import DomainError
-from mechfield.mechanics import damped_driven_osc, satellite_accel
+from mechfield.mechanics import damped_driven_osc, gravity_accel, satellite_accel
 from mechfield.scenarios import SCENARIOS
 from mechfield.solver import (
     euler_cromer_method,
@@ -169,6 +169,17 @@ def test_euler_cromer_refuses_state_without_velocity_half(state):
     # valid for the first-order methods, but no (t, q..., v...) layout
     with pytest.raises(ValueError, match=r"is not \(t, q\.\.\., v\.\.\.\)"):
         euler_cromer_method(lambda y: y, 0.1, state)
+
+
+@pytest.mark.parametrize("method", list(METHODS.values()))
+@pytest.mark.parametrize("accel, state", [
+    (satellite_accel, (0.0, 7e6, 0.0, 0.0, 1.0, 2.0)),  # one velocity short
+    (gravity_accel([1.0, 1.0]), (0.0, *range(1, 12))),  # two bodies, one component short: q would have 6
+], ids=["satellite", "gravity"])
+def test_second_order_equation_refuses_state_without_velocity_half(method, accel, state):
+    # the halves would shift by one, a velocity read as a coordinate, instead of failing
+    with pytest.raises(ValueError, match=rf"a state of {len(state)} components is not \(t, q\.\.\., v\.\.\.\)"):
+        method(second_order_equation(accel), 1.0, state)
 
 
 # --- generic evolution methods ----------------------------------------------

@@ -8,10 +8,11 @@ function from position to Vec3.
 
 Every integral here cuts the parameter interval into equal pieces,
 samples the integrand at each piece's midpoint, and weights by the chord
-between the piece's endpoints (its length for plain line integrals, the
-chord vector itself for the crossed variant). No tangent vectors are
-required of the caller, and the scheme is second order: halving the
-interval width cuts the error about four-fold for smooth integrands.
+between the piece's endpoints (its length, ``Vec3.magnitude``'s at any
+scale, for plain line integrals and the E field, the chord vector itself for
+the crossed variant and the B field). No tangent vectors are required of the
+caller, and the scheme is second order: halving the interval width cuts the
+error about four-fold for smooth integrands.
 A field builder cuts its curve once, when the field is built, and keeps
 per piece only what its kernel reads: E the sample, its density and its
 chord's length, B the sample and its chord. A point within about a piece
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from array import array
 from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import DomainError
-from .vectors import Position, Vec3, ZERO, displacement, format_row
+from .vectors import _TINY, Position, Vec3, ZERO, _length, displacement, format_row
 
 __all__ = [
     "COULOMB_CONSTANT",
@@ -47,7 +47,6 @@ __all__ = [
 COULOMB_CONSTANT = 9e9  # N m^2 / C^2, i.e. 1 / (4 pi eps0)
 BIOT_SAVART_CONSTANT = 1e-7  # T m / A, i.e. mu0 / (4 pi)
 
-_TINY = sys.float_info.min  # the smallest normal float
 # The reach's floor: the smallest power of two whose cube is a normal float, 2**-340 m.
 _NEAREST = 2.0 ** math.ceil(math.log2(_TINY) / 3)
 
@@ -125,16 +124,9 @@ def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, 
     if intervals < 3:
         # Relative only: a loop's ends differ by about 2.4e-16 of its radius,
         # and an absolute bound would call every open curve below it closed.
-        # hypot scales its arguments, so a tiny curve does not underflow to 0.
-        extent = max(math.hypot(*displacement(first, p)) for p in (sample, previous))
-        if math.hypot(*displacement(first, previous)) < 1e-9 * extent:
+        extent = max(displacement(first, p).magnitude() for p in (sample, previous))
+        if displacement(first, previous).magnitude() < 1e-9 * extent:
             raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
-
-
-def _length(x: float, y: float, z: float) -> float:
-    """A chord's length: the root of its squares, or ``math.hypot`` where they underflow (below about 1.5e-154 m)."""
-    squared = x * x + y * y + z * z
-    return math.sqrt(squared) if squared >= _TINY else math.hypot(x, y, z)
 
 
 def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) -> V:
@@ -143,7 +135,7 @@ def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) 
     Midpoint samples weighted by chord lengths; see the module docstring.
     A constant field integrates to (constant) * (polyline arc length).
     """
-    terms = (field(s) * _length(*displacement(a, b)) for a, s, b in _pieces(intervals, curve))
+    terms = (field(s) * displacement(a, b).magnitude() for a, s, b in _pieces(intervals, curve))
     return reduce(operator.add, terms)
 
 
@@ -173,6 +165,7 @@ def _quadrature(intervals: int, curve: Curve, record: Callable[..., Iterable[flo
         pieces.extend(record(sample, end.x - a, end.y - b, end.z - c))
         ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
         farthest = max(farthest, ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz)
+    # a bare root: the floor hides its underflow, and where it overflows every point is refused either way
     return pieces, max(3.0 * math.sqrt(farthest), _NEAREST)
 
 
@@ -214,6 +207,7 @@ def electric_field_of_line_charge(
         terms = iter(pieces)
         for sx, sy, sz, q, w in zip(terms, terms, terms, terms, terms):
             dx, dy, dz = px - sx, py - sy, pz - sz
+            # a bare root: the reach's floor keeps dist**2 normal, and a cube that overflows is too far
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
                 raise _refused("on source", (px, py, pz))
@@ -235,14 +229,11 @@ def magnetic_field_of_line_current(
     """Magnetic field (tesla) of a current flowing along a curve.
 
     Biot-Savart: the field at p is BIOT_SAVART_CONSTANT * current times
-    the integral of dl x d / |d|^3 with d from source to p. Each term is
-    computed as field x dl, the opposite order, so the sampled value
-    carries a minus sign on the current to compensate. Evaluation nearer a
-    sample than the reach or too far from the source, both as for the E
-    field, or where the sum overflows, raises :class:`DomainError` naming
-    the point.
+    the integral of dl x d / |d|^3 with d from source to p, each term
+    computed in that order. Evaluation nearer a sample than the reach or
+    too far from the source, both as for the E field, or where the sum
+    overflows, raises :class:`DomainError` naming the point.
     """
-    strength = -current
     pieces, reach = _quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z, cx, cy, cz))
     far = abs(current) / _TINY or math.inf  # as for the E field
 
@@ -252,17 +243,18 @@ def magnetic_field_of_line_current(
         terms = iter(pieces)
         for sx, sy, sz, cx, cy, cz in zip(terms, terms, terms, terms, terms, terms):
             dx, dy, dz = px - sx, py - sy, pz - sz
+            # a bare root: the reach's floor keeps dist**2 normal, and a cube that overflows is too far
             dist = math.sqrt(dx * dx + dy * dy + dz * dz)
             if dist < reach:
                 raise _refused("on source", (px, py, pz))
             cube = dist * dist * dist
             if cube >= far:
                 raise _refused("too far from the source", (px, py, pz))
-            s = strength / cube
+            s = current / cube
             dx, dy, dz = dx * s, dy * s, dz * s
-            bx += dy * cz - dz * cy
-            by += dz * cx - dx * cz
-            bz += dx * cy - dy * cx
+            bx += cy * dz - cz * dy
+            by += cz * dx - cx * dz
+            bz += cx * dy - cy * dx
         return _finite(Vec3(bx, by, bz) * BIOT_SAVART_CONSTANT, (px, py, pz))
 
     return field

@@ -10,22 +10,22 @@ single particles, mutual gravitation and spring chains are systems of
 particles.
 
 Each function performs its floating-point operations in the order of the
-equivalent ``Vec3`` expression (sums start from 0.0, magnitudes are
-``sqrt(x*x + y*y + z*z)``): the CSV bytes, and the golden hashes in the
-tests, depend on that order. The spring chain computes each spring once and
-gravity each pair once, applying it to both ends with opposite signs (Newton's
-third law): IEEE negation is exact and ``a - t`` is ``a + (-t)``, signed zeros
-too, so the bytes are those of summing each particle's pulls in partner order.
+equivalent ``Vec3`` expression (sums start from 0.0, an x force adds no y or z
+term, lengths are ``Vec3.magnitude``'s): the CSV bytes and golden hashes
+depend on that order. The spring chain computes each spring once and gravity
+each pair once, applying it to both ends with opposite signs (Newton's third
+law): IEEE negation is exact and ``a - t`` is ``a + (-t)``, signed zeros too,
+so the bytes are those of summing each particle's pulls in partner order.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 from .errors import DomainError
 from .solver import AccelerationFunction
+from .vectors import _TINY, _length
 
 __all__ = [
     "GRAVITATIONAL_CONSTANT",
@@ -50,7 +50,7 @@ def satellite_accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[f
     origin, or beyond about 5.6e102 m where |r|^3 overflows, is a :class:`DomainError`.
     """
     x, y, z = q
-    dist = math.sqrt(x * x + y * y + z * z)
+    dist = math.sqrt(x * x + y * y + z * z)  # a bare root: exact wherever the 1e-6 m and far rules pass
     if dist < 1e-6:  # nearer, |r|^3 can underflow to 0 or the pull overflow; NaN passes
         raise DomainError("satellite at origin")
     cube = dist * dist * dist
@@ -80,14 +80,10 @@ def damped_driven_osc(beta: float, drive_amp: float, drive_freq: float) -> Accel
             drive = drive_amp * math.cos(drive_freq * t)
         except ValueError:  # cos of an infinite phase
             raise DomainError("drive phase is not finite") from None
-        # The drive acts along x as the vector (1, 0, 0) * drive. Its y and
-        # z terms, 0.0 * drive, stay: they are -0.0 when drive < 0, which
-        # decides the sign of a zero acceleration.
-        off_axis = 0.0 * drive
-        return (  # damping + drive + spring, mass = 1
+        return (  # damping + drive + spring, mass = 1; the drive acts along x alone
             vx * damping + drive + -x,
-            vy * damping + off_axis + -y,
-            vz * damping + off_axis + -z,
+            vy * damping + -y,
+            vz * damping + -z,
         )
 
     return accel
@@ -107,7 +103,7 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     if not ms or any(not 0.0 < m < math.inf for m in ms):
         raise ValueError("masses must be a non-empty sequence of positive, finite values")
     gm = tuple(GRAVITATIONAL_CONSTANT * m for m in ms)  # each body's pull at a unit cube
-    far = max(gm) / sys.float_info.min  # the cube from which the heaviest pull is not normal
+    far = max(gm) / _TINY  # the cube from which the heaviest pull is not normal
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * len(ms):
@@ -117,7 +113,7 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
             xi, yi, zi = q[i:i + 3]
             for j in range(i + 3, len(q), 3):
                 dx, dy, dz = q[j] - xi, q[j + 1] - yi, q[j + 2] - zi
-                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)  # a bare root: exact wherever the 1e-6 m and far rules pass
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
                 cube = dist * dist * dist
@@ -147,7 +143,8 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
     matter of initial conditions. Like :func:`gravity_accel`, it is built
     for its count and refuses a state of any other size; a right anchor or
     a ``1 / mass`` beyond the largest float is a ``ValueError`` when it is
-    built. Two neighbors at the same point are a :class:`DomainError`. Each
+    built. A spring's length is ``Vec3.magnitude``'s, so two neighbors at the
+    same point are a :class:`DomainError`, but not two 1e-300 m apart. Each
     spring is computed once and pulls its two ends with opposite signs.
     """
     if count < 1:
@@ -160,6 +157,7 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
     inverse_mass = 1.0 / mass
     if not math.isfinite(inverse_mass):
         raise ValueError("spring chain inverse mass 1 / mass is not finite")
+    tiny = math.sqrt(_TINY)  # 2**-511: a shorter bare root has underflowing squares
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * count:
@@ -170,8 +168,8 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
         ends = iter((*q, anchor, 0.0, 0.0))
         for x1, y1, z1 in zip(ends, ends, ends):
             dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
-            length = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if length == 0.0:
+            length = math.sqrt(dx * dx + dy * dy + dz * dz)  # inf past 1.3e154 m: its nan force is refused next state
+            if length < tiny and (length := _length(dx, dy, dz)) == 0.0:  # a root under 2**-511 m is taken again, scaled
                 raise DomainError("spring chain neighbors coincide")
             # natural-length spring: pulls when stretched, pushes when compressed
             scale = k * (length - spacing) / length

@@ -16,6 +16,7 @@ hand-written class with three slots: a record decorator would load
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -74,8 +75,17 @@ class Vec3(NamedTuple):
         )
 
     def magnitude(self) -> float:
-        """Euclidean length, sqrt(v . v)."""
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        """Euclidean length, sqrt(v . v), which neither underflows to 0 below 1.5e-154 nor overflows above 1.3e154."""
+        return _length(self.x, self.y, self.z)
+
+
+_TINY = sys.float_info.min  # the smallest normal float
+
+
+def _length(x: float, y: float, z: float) -> float:
+    """|(x, y, z)|: the root of its squares where they sum to a normal float, else ``math.hypot``, which scales."""
+    squared = x * x + y * y + z * z
+    return math.sqrt(squared) if _TINY <= squared < math.inf else math.hypot(x, y, z)
 
 
 ZERO = Vec3(0.0, 0.0, 0.0)

@@ -312,6 +312,34 @@ def test_successful_run_keeps_the_permissions_of_existing_out(tmp_path, capsys):
     assert path.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
 
 
+def test_symlink_at_out_is_replaced_by_a_file_with_its_targets_permissions(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "traj.csv"
+    target.write_bytes(b"earlier bytes\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(link))[0] == EXIT_OK
+    assert not link.is_symlink() and stat.S_IMODE(link.stat().st_mode) == 0o640
+    assert link.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
+    assert target.read_bytes() == b"earlier bytes\n"
+
+
+def test_hard_link_to_out_keeps_the_old_bytes(tmp_path, capsys):
+    path, other = tmp_path / "traj.csv", tmp_path / "other.csv"
+    path.write_bytes(b"earlier bytes\n")
+    os.link(path, other)
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(path))[0] == EXIT_OK
+    assert path.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
+    assert other.read_bytes() == b"earlier bytes\n"
+
+
+def test_dangling_symlink_at_out_is_replaced_and_its_target_not_made(tmp_path, capsys):
+    target, link = tmp_path / "missing.csv", tmp_path / "traj.csv"
+    link.symlink_to(target)
+    assert run_cli(capsys, "simulate", "sho", "--steps", "2", "--out", str(link))[0] == EXIT_OK
+    assert not link.is_symlink() and link.read_text().splitlines()[0] == "t,x,y,z,vx,vy,vz"
+    assert not os.path.lexists(target)
+
+
 def test_read_only_out_is_refused_exactly_when_it_cannot_be_opened_for_writing(tmp_path, capsys, monkeypatch):
     calls = counting_scenario(monkeypatch, "sho")
     path = tmp_path / "traj.csv"
@@ -536,6 +564,15 @@ def test_spring_chain_whose_lattice_overflows_is_usage_error(tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == []
     assert run_cli(capsys, *argv)[:2] == (EXIT_USAGE, "")
     assert calls == []
+
+
+def test_spring_chain_too_fine_to_square_runs(capsys):
+    # each spring's squared length, 1e-600 m^2, underflows to 0.0; the neighbors do not coincide
+    code, out, err = run_cli(capsys, "simulate", "spring-chain", "--particles", "2", "--spacing", "1e-300",
+                             "--amplitude", "0", "--steps", "2")
+    assert (code, err) == (EXIT_OK, "")
+    rows = out.splitlines()
+    assert len(rows) == 4 and rows[1] == "0,1e-300,0,0,0,0,0,2e-300,0,0,0,0,0"
 
 
 @pytest.mark.parametrize(

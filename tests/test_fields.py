@@ -102,6 +102,16 @@ class TestLineIntegral:
         # a 1e-170 m chord's square underflows to 0; its length is still 1e-170 m, not 0
         assert line_integral(1, lambda p: 1.0, line_segment(1e-170)) == pytest.approx(1e-170, rel=1e-15, abs=0)
 
+    def test_segment_length_at_every_scale(self):
+        # a chord's square underflows below about 1.5e-154 m and overflows above about 1.3e154 m
+        for k in range(-1000, 1001):
+            assert line_integral(10, lambda p: 1.0, line_segment(2.0**k)) == pytest.approx(2.0**k, rel=1e-12, abs=0), k
+
+    def test_loop_too_large_to_square_is_its_polygon_perimeter(self):
+        n, radius = 1000, 1e200
+        perimeter = 2.0 * n * radius * math.sin(math.pi / n)
+        assert line_integral(n, lambda p: 1.0, circular_loop(radius)) == pytest.approx(perimeter, rel=1e-12, abs=0)
+
     def test_circumference_from_chords(self):
         total = line_integral(1000, lambda p: 1.0, circular_loop(1.0))
         assert total == pytest.approx(2.0 * math.pi, rel=1e-4)

@@ -125,6 +125,13 @@ def test_ddho_damping_term():
     assert accel(0.0, ZERO, Vec3(2, 0, 0)) == Vec3(-2, 0, 0)
 
 
+@pytest.mark.parametrize("drive", [1.0, -1.0])
+def test_ddho_drive_acts_along_x_alone(drive):
+    # no drive term joins y or z, so their zeros are signed by the damping and spring terms alone: -0.0 + -0.0
+    accel = damped_driven_osc(0.5, drive, 0.0)(0.0, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert list(map(repr, accel[1:])) == ["-0.0", "-0.0"]
+
+
 @pytest.mark.parametrize("omega, t", [(1e308, 10.0), (1.0, math.inf)])
 def test_ddho_infinite_drive_phase_is_domain_error(omega, t):
     with pytest.raises(DomainError, match="^drive phase is not finite$"):
@@ -525,6 +532,18 @@ def test_spring_chain_coincident_neighbors_is_domain_error(particles):
     accel = spring_chain_accel(len(particles), k=1.0, spacing=1.0, mass=1.0)
     with pytest.raises(DomainError, match="^spring chain neighbors coincide$"):
         accel_at(accel, system(0.0, particles))
+
+
+def test_spring_chain_scales_to_any_lattice_spacing():
+    # springs shorter than about 1.5e-154 m have squares that underflow; their lengths must not
+    q = []
+    for i in range(4):  # plucked along the lowest mode
+        q += ((i + 1) * 1.0, 0.1 * math.sin((i + 1) * math.pi / 5), 0.0)
+    unscaled = spring_chain_accel(4, k=1.0, spacing=1.0, mass=1.0)(0.0, q, [0.0] * 12)
+    for j in range(1001):
+        scale = 2.0**-j
+        accel = spring_chain_accel(4, k=1.0, spacing=scale, mass=1.0)(0.0, [c * scale for c in q], [0.0] * 12)
+        assert accel == [pytest.approx(a * scale, rel=1e-12, abs=0) for a in unscaled], j
 
 
 # --- pendulum ----------------------------------------------------------------------

@@ -90,6 +90,11 @@ class TestProducts:
     def test_magnitude_diagonal(self):
         assert Vec3(1, 1, 1).magnitude() == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
+    def test_magnitude_is_exact_at_every_scale(self):
+        # squared, 5 * 2**k underflows below about 2**-511 and overflows above about 2**511
+        wrong = [k for k in range(-1000, 1001) if (Vec3(3.0, 4.0, 0.0) * 2.0**k).magnitude() != 5.0 * 2.0**k]
+        assert wrong == []
+
 
 class TestPosition:
     def test_accessors(self):

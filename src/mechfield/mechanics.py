@@ -131,29 +131,38 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     return accel
 
 
+def _chain_lattice(count: int, spacing: float) -> list[float]:
+    """The spring chain at rest along x: the left anchor at 0, each particle, then the right anchor."""
+    if not math.isfinite((count + 1) * spacing):  # O(1), before a table of count + 2 entries
+        raise ValueError("spring chain lattice is not finite")
+    return [i * spacing for i in range(count + 2)]
+
+
 def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> AccelerationFunction:
     """``count`` point masses joined by nearest-neighbor Hooke's-law springs, ends anchored.
 
-    The chain lies along the x axis: particle i has equilibrium position
-    (i+1) * spacing, and every spring has natural length ``spacing``. The
-    ends are always anchored: stationary virtual anchors sit at x = 0 and
-    x = (count+1) * spacing, one spacing beyond each end particle, so the
-    chain supports standing waves. Displacements are full 3D vectors, so
-    both longitudinal and transverse motion work; which one you get is a
-    matter of initial conditions. Like :func:`gravity_accel`, it is built
-    for its count and refuses a state of any other size; a right anchor or
-    a ``1 / mass`` beyond the largest float is a ``ValueError`` when it is
-    built. A spring's length is ``Vec3.magnitude``'s, so two neighbors at the
-    same point are a :class:`DomainError`, but not two 1e-300 m apart. Each
+    The chain lies along the x axis on the lattice ``i * spacing``, i = 0 to
+    count + 1: particle i rests at entry i, and stationary anchors sit at the
+    first and last, so the chain supports standing waves. Each spring's
+    rest length is the difference of its ends' entries, so a chain released
+    at rest stays at rest exactly. Displacements are full 3D vectors, so both
+    longitudinal and transverse motion work; which one you get is a matter of
+    initial conditions. Like :func:`gravity_accel`, it is built for its count
+    and refuses a state of any other size; a right anchor, a rest length
+    squared or a ``1 / mass`` beyond the largest float is a ``ValueError`` when
+    it is built. A spring's length is ``Vec3.magnitude``'s, so two neighbors at
+    the same point are a :class:`DomainError`, but not two 1e-300 m apart. Each
     spring is computed once and pulls its two ends with opposite signs.
     """
     if count < 1:
         raise ValueError("spring chain needs at least one particle")
     if not (0.0 < k < math.inf and 0.0 < spacing < math.inf and 0.0 < mass < math.inf):
         raise ValueError("k, spacing, and mass must all be positive and finite")
-    anchor = (count + 1) * spacing  # the right anchor, the lattice's farthest point
-    if not math.isfinite(anchor):
-        raise ValueError("spring chain lattice is not finite")
+    lattice = _chain_lattice(count, spacing)
+    rests = [b - a for a, b in zip(lattice, lattice[1:])]  # each spring's rest length, left to right
+    longest = max(rests)
+    if not math.isfinite(longest * longest):  # such a spring's length reads inf even at rest
+        raise ValueError("spring chain rest length squared is not finite")
     inverse_mass = 1.0 / mass
     if not math.isfinite(inverse_mass):
         raise ValueError("spring chain inverse mass 1 / mass is not finite")
@@ -165,14 +174,14 @@ def spring_chain_accel(count: int, k: float, spacing: float, mass: float) -> Acc
         out: list[float] = []
         x0 = y0 = z0 = 0.0  # the spring's left end: the left anchor, then each particle
         fx = fy = fz = 0.0  # 0.0 minus the term of the spring to the left of that end
-        ends = iter((*q, anchor, 0.0, 0.0))
-        for x1, y1, z1 in zip(ends, ends, ends):
+        ends = iter((*q, lattice[-1], 0.0, 0.0))  # the right anchor last
+        for rest, x1, y1, z1 in zip(rests, ends, ends, ends):
             dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
             length = math.sqrt(dx * dx + dy * dy + dz * dz)  # inf past 1.3e154 m: its nan force is refused next state
             if length < tiny and (length := _length(dx, dy, dz)) == 0.0:  # a root under 2**-511 m is taken again, scaled
                 raise DomainError("spring chain neighbors coincide")
             # natural-length spring: pulls when stretched, pushes when compressed
-            scale = k * (length - spacing) / length
+            scale = k * (length - rest) / length
             tx, ty, tz = dx * scale, dy * scale, dz * scale
             out += ((fx + tx) * inverse_mass, (fy + ty) * inverse_mass, (fz + tz) * inverse_mass)
             fx, fy, fz = 0.0 - tx, 0.0 - ty, 0.0 - tz

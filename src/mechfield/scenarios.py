@@ -19,6 +19,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .mechanics import (
     EARTH_MASS,
     GRAVITATIONAL_CONSTANT,
+    _chain_lattice,
     damped_driven_osc,
     gravity_accel,
     pendulum_accel,
@@ -153,8 +154,8 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
     amplitude = params["amplitude"]
     # transverse pluck along the lowest standing-wave mode
     q: list[float] = []
-    for i in range(count):
-        q += ((i + 1) * spacing, amplitude * math.sin((i + 1) * math.pi / (count + 1)), 0.0)
+    for i, x in enumerate(_chain_lattice(count, spacing)[1:-1], 1):  # the kernel's lattice: at amplitude 0 no force acts
+        q += (x, amplitude * math.sin(i * math.pi / (count + 1)), 0.0)
     return ScenarioRun((0.0, *q, *[0.0] * len(q)), accel, _system_header(count), _system_row)
 
 

@@ -575,6 +575,29 @@ def test_spring_chain_too_fine_to_square_runs(capsys):
     assert len(rows) == 4 and rows[1] == "0,1e-300,0,0,0,0,0,2e-300,0,0,0,0,0"
 
 
+def test_spring_chain_released_at_rest_stays_at_rest(capsys):
+    # 0.1 and 0.2 m differ by no float's 0.1: each spring's rest length is that difference, not the spacing
+    code, out, err = run_cli(capsys, "simulate", "spring-chain", "--particles", "2", "--spacing", "0.1",
+                             "--amplitude", "0", "--steps", "2")
+    assert (code, err) == (EXIT_OK, "")
+    header, *rows = out.splitlines()
+    velocities = [i for i, name in enumerate(header.split(",")) if name.startswith("v")]
+    assert len(rows) == 3 and len(velocities) == 6
+    assert all(row.split(",")[i] == "0" for row in rows for i in velocities)
+
+
+def test_spring_chain_too_long_to_square_at_rest_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the lattice is finite, its anchor at 4.2e154 m, but each spring's squared length at rest overflows
+    calls = counting_scenario(monkeypatch, "spring-chain")
+    argv = ("simulate", "spring-chain", "--particles", "2", "--spacing", "1.4e154", "--amplitude", "0", "--steps", "2")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "chain.csv"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: spring chain rest length squared is not finite\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", "error: spring chain rest length squared is not finite\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     ("scenario", "options", "quantity"),
     [

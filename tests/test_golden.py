@@ -50,10 +50,14 @@ SIMULATE_GOLDEN = {
 # The chain at the width of the benchmark's chain-rk4 workload, which runs 80-120 particles.
 WIDE_ARGS = {
     "spring-chain/rk4-100": ("simulate", "spring-chain", "--method", "rk4", "--particles", "100", "--steps", "14"),
+    # 0.3 m makes an inexact lattice: each spring's rest length is the difference of its ends' entries
+    "spring-chain/rk4-5-spacing-0.3": ("simulate", "spring-chain", "--method", "rk4", "--particles", "5",
+                                       "--spacing", "0.3", "--steps", "50"),
 }
 
 WIDE_GOLDEN = {
     "spring-chain/rk4-100": "176ec528f3fc6872f8a1003d5d1bca7c0b4c5928e4dd15413059619b7589fea0",
+    "spring-chain/rk4-5-spacing-0.3": "5ec7e5db8da02ecd033ab4a0bb5523750021eaae4ce79f5f7d2263d651f52f83",
 }
 
 FIELD_ARGS = {

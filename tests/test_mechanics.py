@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from itertools import islice
 
 import pytest
 
@@ -17,6 +18,7 @@ from mechfield.mechanics import (
     satellite_accel,
     spring_chain_accel,
 )
+from mechfield.scenarios import SCENARIOS
 from mechfield.solver import (
     euler_cromer_method,
     euler_method,
@@ -438,7 +440,10 @@ def test_spring_chain_lowest_mode_frequency():
 
 
 def anchored_chain_oracle(k: float, spacing: float, mass: float):
-    """The chain kernel before it computed each spring once: every particle sums its two neighbors' pulls."""
+    """The chain kernel before it computed each spring once: every particle sums its two neighbors' pulls.
+
+    Each spring's rest length is the difference of its two ends' lattice entries, ``i * spacing``.
+    """
     inverse_mass = 1.0 / mass
 
     def accel(t, q, v):
@@ -458,7 +463,8 @@ def anchored_chain_oracle(k: float, spacing: float, mass: float):
                 dy = yj - y
                 dz = zj - z
                 length = math.sqrt(dx * dx + dy * dy + dz * dz)
-                scale = k * (length - spacing) / length
+                lo, hi = sorted((i, j))
+                scale = k * (length - (hi * spacing - lo * spacing)) / length
                 fx = fx + dx * scale
                 fy = fy + dy * scale
                 fz = fz + dz * scale
@@ -511,6 +517,38 @@ def test_spring_chain_whose_right_anchor_overflows_is_refused_at_build(count):
     with pytest.raises(ValueError, match="^spring chain lattice is not finite$") as raised:
         spring_chain_accel(count, k=1, spacing=1e308, mass=1)
     assert not isinstance(raised.value, DomainError)
+
+
+@pytest.mark.parametrize("spacing", [1.4e154, 1e300])
+def test_spring_chain_whose_rest_length_squared_overflows_is_refused_at_build(spacing):
+    # the lattice is finite, its anchor at 3 * spacing, but each spring's length at rest would read inf
+    with pytest.raises(ValueError, match="^spring chain rest length squared is not finite$") as raised:
+        spring_chain_accel(2, k=1.0, spacing=spacing, mass=1.0)
+    assert not isinstance(raised.value, DomainError)
+
+
+def test_spring_chain_whose_rest_length_squared_is_finite_stays_at_rest():
+    initial = system(0.0, lattice(2, 1.3e154))
+    equation = second_order_equation(spring_chain_accel(2, k=1.0, spacing=1.3e154, mass=1.0))
+    for state in islice(solution_stream(rk4_method, 0.1, equation, initial), 5):
+        assert state[1:] == initial[1:]
+
+
+# Spacings over six decades, and over most of the float range
+REST_SPACINGS = (lambda rng: 10.0 ** rng.uniform(-3, 3), lambda rng: 2.0 ** rng.uniform(-500, 500))
+
+
+@pytest.mark.parametrize("method", [euler_method, euler_cromer_method, rk4_method], ids=["euler", "euler-cromer", "rk4"])
+def test_spring_chain_released_at_rest_in_its_lattice_stays_at_rest(method):
+    # each rest length is the difference of its ends' lattice entries, so every force at rest is exactly 0
+    rng = random.Random(26)
+    chain = SCENARIOS["spring-chain"]
+    for _ in range(150):
+        for draw in REST_SPACINGS:
+            params = {**chain.defaults, "particles": rng.randint(1, 10), "spacing": draw(rng), "amplitude": 0.0}
+            run = chain.build(params)
+            for state in islice(solution_stream(method, chain.dt, run.equation, run.initial), 101):
+                assert state[1:] == run.initial[1:], params
 
 
 @pytest.mark.parametrize("length", [4, 5, 6])  # 6 is two whole particles for a chain of one

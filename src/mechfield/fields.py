@@ -28,7 +28,7 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import DomainError
-from .vectors import _TINY, Position, Vec3, ZERO, _length, displacement, format_row
+from .vectors import _TINY, Position, Vec3, ZERO, _length, _upscale, displacement, format_row
 
 __all__ = [
     "COULOMB_CONSTANT",
@@ -169,11 +169,15 @@ def _quadrature(intervals: int, curve: Curve, record: Callable[..., Iterable[flo
     return pieces, max(3.0 * math.sqrt(farthest), _NEAREST)
 
 
-def _finite(value: Vec3, p: tuple[float, float, float]) -> Vec3:
-    """``value``, or :class:`DomainError` naming the point ``p`` if a component is not finite."""
-    if all(map(math.isfinite, value)):
-        return value
-    raise DomainError(f"field is not finite at {format_row(map(float, p))}")
+def _result(x: float, y: float, z: float, constant: float, e: int, strength: float, p: tuple[float, float, float]) -> Vec3:
+    """``2**e * constant * (x, y, z)``, each rounded once; a :class:`DomainError` naming ``p`` if a component is
+    not finite, or if the source's ``strength`` is not 0 yet no component is normal (the rule judges the vector)."""
+    value = Vec3(math.ldexp(x * constant, e), math.ldexp(y * constant, e), math.ldexp(z * constant, e))
+    if not all(map(math.isfinite, value)):
+        raise DomainError(f"field is not finite at {format_row(map(float, p))}")
+    if max(map(abs, value)) < _TINY and strength:  # a source of no strength is 0 everywhere
+        raise _refused("too far from the source", p)
+    return value
 
 
 def _refused(where: str, p: tuple[float, float, float]) -> DomainError:
@@ -193,13 +197,16 @@ def electric_field_of_line_charge(
     Evaluating nearer a quadrature sample than the reach, which covers
     every point within a chord's length of the source's chords and samples
     (about 1.5 piece lengths at any scale, and at least 2**-340 m), so far
-    that even the densest sample's term would not be a normal float (from
-    about 3.6e102 m for 1 C/m, nearer for weaker charge), or where the sum
-    overflows, raises :class:`DomainError` naming the point, not garbage.
+    that a cubed distance overflows (beyond about 5.6e102 m, whatever the
+    strength), or where the field overflows or, for a charged source, has
+    no normal component, raises :class:`DomainError` naming the point, not garbage.
     """
     pieces, reach = _quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z, density(s), _length(cx, cy, cz)))
-    # the cube from which even the densest sample's term is not a normal float, or inf for no charge
-    far = max(map(abs, pieces[3::5])) / _TINY or math.inf
+    # densities by 2**-e, in place: over every finite cube the densest term is then a normal float
+    strength = max(map(abs, pieces[3::5]))
+    e = _upscale(strength)
+    for i in range(3, len(pieces), 5):
+        pieces[i] = math.ldexp(pieces[i], -e)
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
@@ -212,13 +219,13 @@ def electric_field_of_line_charge(
             if dist < reach:
                 raise _refused("on source", (px, py, pz))
             cube = dist * dist * dist
-            if cube >= far:
+            if cube == math.inf:
                 raise _refused("too far from the source", (px, py, pz))
             s = q / cube
             ex += dx * s * w
             ey += dy * s * w
             ez += dz * s * w
-        return _finite(Vec3(ex, ey, ez) * COULOMB_CONSTANT, (px, py, pz))
+        return _result(ex, ey, ez, COULOMB_CONSTANT, e, strength, (px, py, pz))
 
     return field
 
@@ -230,12 +237,14 @@ def magnetic_field_of_line_current(
 
     Biot-Savart: the field at p is BIOT_SAVART_CONSTANT * current times
     the integral of dl x d / |d|^3 with d from source to p, each term
-    computed in that order. Evaluation nearer a sample than the reach or
-    too far from the source, both as for the E field, or where the sum
-    overflows, raises :class:`DomainError` naming the point.
+    computed in that order. Evaluating nearer a sample than the reach, so
+    far that a cubed distance overflows (beyond about 5.6e102 m, whatever
+    the strength), or where the field overflows or, for a current that is
+    not 0, has no normal component, raises :class:`DomainError` naming the point.
     """
     pieces, reach = _quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z, cx, cy, cz))
-    far = abs(current) / _TINY or math.inf  # as for the E field
+    e = _upscale(current)  # as for the E field's densities
+    current = math.ldexp(current, -e)
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z
@@ -248,13 +257,13 @@ def magnetic_field_of_line_current(
             if dist < reach:
                 raise _refused("on source", (px, py, pz))
             cube = dist * dist * dist
-            if cube >= far:
+            if cube == math.inf:
                 raise _refused("too far from the source", (px, py, pz))
             s = current / cube
             dx, dy, dz = dx * s, dy * s, dz * s
             bx += cy * dz - cz * dy
             by += cz * dx - cx * dz
             bz += cx * dy - cy * dx
-        return _finite(Vec3(bx, by, bz) * BIOT_SAVART_CONSTANT, (px, py, pz))
+        return _result(bx, by, bz, BIOT_SAVART_CONSTANT, e, current, (px, py, pz))
 
     return field

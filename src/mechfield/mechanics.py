@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .solver import AccelerationFunction
-from .vectors import _TINY, _length
+from .vectors import _TINY, _length, _upscale
 
 __all__ = [
     "GRAVITATIONAL_CONSTANT",
@@ -47,7 +47,8 @@ def satellite_accel(t: float, q: Sequence[float], v: Sequence[float]) -> tuple[f
     Inverse-square gravity of magnitude G M / |r|^2 pointing back along
     the displacement; depends only on where the satellite is, not on the
     time or its velocity. As in :func:`gravity_accel`, within 1e-6 m of the
-    origin, or beyond about 5.6e102 m where |r|^3 overflows, is a :class:`DomainError`.
+    origin, or so far that a cubed distance overflows (beyond about 5.6e102 m,
+    whatever the strength), is a :class:`DomainError`.
     """
     x, y, z = q
     dist = math.sqrt(x * x + y * y + z * z)  # a bare root: exact wherever the 1e-6 m and far rules pass
@@ -95,15 +96,16 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
     The returned function expects exactly ``len(masses)`` particles and gives
     particle i the sum over j != i of G m_j (r_j - r_i) / |r_j - r_i|^3,
     computing each pair once for both bodies. There is no softening: bodies
-    closer than 1e-6 m, or so far apart that even the heaviest pull
-    G m / |r_j - r_i|^3 is not a normal float (from about 1.4e99 m for 1 kg),
-    are a :class:`DomainError`, not a silent fudge or a silent 0.
+    closer than 1e-6 m, or so far that a cubed distance overflows (beyond
+    about 5.6e102 m, whatever the strength), are a :class:`DomainError`, not
+    a silent fudge or a silent 0.
     """
     ms = tuple(float(m) for m in masses)
     if not ms or any(not 0.0 < m < math.inf for m in ms):
         raise ValueError("masses must be a non-empty sequence of positive, finite values")
-    gm = tuple(GRAVITATIONAL_CONSTANT * m for m in ms)  # each body's pull at a unit cube
-    far = max(gm) / _TINY  # the cube from which the heaviest pull is not normal
+    # each body's pull at a unit cube, by 2**-e: the mass first, as G m can fall below the normal range
+    e = _upscale(GRAVITATIONAL_CONSTANT, max(ms))
+    gm = tuple(GRAVITATIONAL_CONSTANT * math.ldexp(m, -e) for m in ms)
 
     def accel(t: float, q: Sequence[float], v: Sequence[float]) -> list[float]:
         if len(q) != 3 * len(ms):
@@ -117,7 +119,7 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
                 cube = dist * dist * dist
-                if cube >= far:
+                if cube == math.inf:
                     raise DomainError("gravitating bodies too far apart")
                 on_i, on_j = gm[j // 3] / cube, gm[i // 3] / cube
                 out[i] += dx * on_i
@@ -126,7 +128,7 @@ def gravity_accel(masses: Sequence[float]) -> AccelerationFunction:
                 out[j] -= dx * on_j
                 out[j + 1] -= dy * on_j
                 out[j + 2] -= dz * on_j
-        return out
+        return [math.ldexp(a, e) for a in out] if e else out  # e is 0 wherever a body outweighs 1.2e11 kg
 
     return accel
 

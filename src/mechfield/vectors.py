@@ -88,6 +88,11 @@ def _length(x: float, y: float, z: float) -> float:
     return math.sqrt(squared) if _TINY <= squared < math.inf else math.hypot(x, y, z)
 
 
+def _upscale(*factors: float) -> int:
+    """e <= 0 with |product of factors| * 2**-e >= 4, a normal float over any finite cube; 0 for one factor from 4 up."""
+    return min(sum(math.frexp(f)[1] for f in factors) - len(factors) - 2, 0)  # exponents: the product can underflow
+
+
 ZERO = Vec3(0.0, 0.0, 0.0)
 X_HAT = Vec3(1.0, 0.0, 0.0)
 Y_HAT = Vec3(0.0, 1.0, 0.0)

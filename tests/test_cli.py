@@ -733,12 +733,15 @@ def only_point(command: str, point: tuple[float, float, float]) -> tuple[str, ..
 @pytest.mark.parametrize(("source", "point"), [
     (("b-loop", "--radius", "1e150"), (0.0, 0.0, 0.0)),
     (("e-line",), (1e110, 0.0, 0.0)),
-    (("e-line",), (3e102, 0.0, 0.0)),
-], ids=["b-loop-radius-1e150", "e-line-at-1e110", "e-line-at-3e102"])
+    (("e-line", "--lambda", "1e-300"), (1e90, 0.0, 0.0)),
+    (("b-loop", "--current", "1e-300"), (0.0, 0.0, 1000.0)),
+    (("e-line", "--length", "1e-300", "--intervals", "1"), (1e100, 0.0, 0.0)),
+], ids=["b-loop-radius-1e150", "e-line-at-1e110", "e-line-1e-300-at-1e90", "b-loop-1e-300-at-1000", "tiny-e-line"])
 @pytest.mark.parametrize("command", ["field", "field-grid"])
 def test_field_point_too_far_from_the_source_is_domain_error(capsys, command, source, point):
     # each term's cubed distance would overflow to inf and the term to 0, the answer a silent 0,0,0;
-    # or, for 1 nC/m at 3e102 m, each term would be about 4e-317, a subnormal that has lost digits
+    # or, for 1e-300 C/m or A, the field (about 1e-471 V/m, 6.3e-316 T) has no normal component;
+    # or, for 1 nC/m of 1e-300 m, the one term underflows to 0 although its cube is finite
     code, out, err = run_cli(capsys, command, *source, *only_point(command, point))
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == f"error: field point too far from the source at {format_row(point)}\n"
@@ -750,13 +753,36 @@ def test_field_point_too_far_from_the_source_is_domain_error(capsys, command, so
 @pytest.mark.parametrize(("source", "point", "expected"), [
     (("b-loop", "--radius", "1e102"), (0.0, 0.0, 0.0), "0,0,6.28317497e-109"),  # mu0 I / 2R of the 1000-chord polygon
     (("e-line", "--lambda", "1"), (3e102, 0.0, 0.0), "1e-195,0,0"),  # 1 C as a point charge
-], ids=["b-loop-radius-1e102", "e-line-at-3e102"])
+    (("e-line",), (3e102, 0.0, 0.0), "1e-204,0,1.97626258e-323"),  # 1 nC, and a subnormal residue beside it
+], ids=["b-loop-radius-1e102", "e-line-at-3e102", "nC-line"])
 @pytest.mark.parametrize("command", ["field", "field-grid"])
 def test_field_point_whose_cubed_distances_stay_finite_is_evaluated(capsys, command, source, point, expected):
-    # short of about 5.6e102 m, where a term's cubed distance overflows, a far point is computed
+    # short of about 5.6e102 m, where a term's cubed distance overflows, a far point is computed, whatever the strength
     code, out, err = run_cli(capsys, command, *source, *only_point(command, point))
     assert (code, err) == (EXIT_OK, "")
     assert ",".join(f"{float(c):.9g}" for c in out.splitlines()[-1].split(",")[-3:]) == expected  # as `field` prints
+
+
+def field_x(capsys, *argv: str) -> float:
+    """The x component ``field`` prints for ``argv``."""
+    code, out, err = run_cli(capsys, "field", *argv)
+    assert (code, err) == (EXIT_OK, "")
+    return float(out.split(",")[0])
+
+
+def test_field_of_a_weak_source_is_evaluated_wherever_it_is_a_normal_float(capsys):
+    # 1e-300 C/m seen from 400 m: each term is below the normal range, the field, 5.6e-296 V/m, is not;
+    # the closed form on the bisector of a 1 m segment, k lambda L / (d sqrt(d^2 + L^2 / 4))
+    expected = 9e9 * 1e-300 / (400.0 * math.sqrt(400.0**2 + 0.25))
+    assert field_x(capsys, "e-line", "--lambda", "1e-300", "--at", "400,0,0") == pytest.approx(expected, rel=1e-9, abs=0)
+    # a subnormal 1e-310 C/m seen from 1 m: the 1 C/m field's nine digits, times 1e-310
+    unit = field_x(capsys, "e-line", "--lambda", "1", "--at", "1,0,0")
+    assert field_x(capsys, "e-line", "--lambda", "1e-310", "--at", "1,0,0") == pytest.approx(1e-310 * unit, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("source", [("e-line", "--lambda", "0"), ("b-loop", "--current", "0")], ids=["e-line", "b-loop"])
+def test_field_of_a_source_of_no_strength_is_zero(capsys, source):
+    assert run_cli(capsys, "field", *source, "--at", "1,0,1") == (EXIT_OK, "0,0,0\n", "")
 
 
 def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):

@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,7 +23,7 @@ from mechfield.fields import (
     line_segment,
     magnetic_field_of_line_current,
 )
-from mechfield.vectors import Position, Vec3, X_HAT, Z_HAT, ZERO, displacement
+from mechfield.vectors import Position, Vec3, X_HAT, Z_HAT, ZERO, displacement, format_row
 
 MU_0 = 4.0 * math.pi * 1e-7
 
@@ -325,21 +326,22 @@ class TestMagneticField:
 
 
 class TestFarPoints:
-    """A point is refused where even the strongest sample's term would not be a normal float, no nearer.
+    """A point is refused where a cubed distance overflows (beyond about 5.6e102 m), whatever the strength.
 
-    That is where a cubed distance overflows (beyond about 5.6e102 m) and a term would be a silent 0,
-    or where the strongest term is a subnormal that has lost digits: a distance, for a given source.
+    A term there would be a silent 0. Nearer, each source's strength is scaled by a power of two so
+    that its strongest term is a normal float, and the field is scaled back once: a far point is
+    refused only where that field has no normal component, though its source has strength.
     """
 
     def test_electric_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
         field = electric_field_of_line_charge(lambda p: 1e-9, line_segment(1.0))
         with pytest.raises(DomainError, match=r"^field point too far from the source at 1e\+103,0,0$"):
             field(Position(1e103, 0.0, 0.0))
-        # 1 nC seen from 1e99 m away: a point charge, each term a normal float
-        assert field(Position(1e99, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT * 1e-9 / 1e198, rel=1e-9, abs=0)
-        # from 3e102 m each term, about 4e-317, is a subnormal that has lost digits: refused, not a blurred 1e-204
-        with pytest.raises(DomainError, match=r"^field point too far from the source at 3e\+102,0,0$"):
-            field(Position(3e102, 0.0, 0.0))
+        # 1 nC seen from 1e99 m and from 3e102 m away: a point charge, though from 3e102 m each
+        # unscaled term, about 4e-317, would be a subnormal that has lost digits
+        for distance in (1e99, 3e102):
+            e = field(Position(distance, 0.0, 0.0)).x
+            assert e == pytest.approx(COULOMB_CONSTANT * 1e-9 / distance**2, rel=1e-9, abs=0)
 
     def test_magnetic_field_refuses_a_point_too_far_and_evaluates_one_nearer(self):
         field = magnetic_field_of_line_current(1.0, circular_loop(1.0))
@@ -360,6 +362,41 @@ class TestFarPoints:
         assert b == pytest.approx(MU_0 / 2e102, rel=1e-5, abs=0)
         field = electric_field_of_line_charge(lambda p: 1.0, line_segment(1.0))
         assert field(Position(3e102, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT / 9e204, rel=1e-9, abs=0)
+
+
+class TestFarRuleAtEveryStrength:
+    """A source's strength scaled by 2**k, k <= 0, scales its field by 2**k and nothing else.
+
+    A strength below 4 and its 2**k multiple are scaled into the same range when the field is
+    built, so their sums are the same floats. A refusal stays the same refusal; an accepted field
+    stays accepted while 2**k times it has a normal component, and each component that was a normal
+    float becomes exactly 2**k times it, one rounding even where that falls below the normal range.
+    """
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(kind=st.sampled_from(["e-line", "b-loop"]), strength=st.floats(0.5, 4.0, exclude_max=True),
+           at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(0, 104), k=st.integers(-1020, 0))
+    def test_a_weaker_source_gives_the_same_answer_times_its_scale(self, kind, strength, at, exponent, k):
+        point = Position(*(c * 10.0**exponent for c in at))
+
+        def outcome(s: float) -> Vec3 | str:
+            if kind == "e-line":
+                field = electric_field_of_line_charge(lambda p: s, line_segment(1.0), 16)
+            else:
+                field = magnetic_field_of_line_current(s, circular_loop(1.0), 16)
+            try:
+                return field(point)
+            except DomainError as error:
+                return str(error)
+
+        base, weak = outcome(strength), outcome(math.ldexp(strength, k))
+        if isinstance(base, str):
+            assert weak == base
+        elif max(abs(math.ldexp(c, k)) for c in base) < sys.float_info.min:
+            assert weak == f"field point too far from the source at {format_row((point.x, point.y, point.z))}"
+        else:
+            kept = [i for i, b in enumerate(base) if abs(b) >= sys.float_info.min or b == 0.0]
+            assert isinstance(weak, Vec3) and [weak[i] for i in kept] == [math.ldexp(base[i], k) for i in kept]
 
 
 class TestNearRuleAtEveryScale:

@@ -6,7 +6,7 @@ the RK4 chain once more at 100 particles, the benchmark's width. Each
 source kind has ``field`` at the default 1000 intervals, at the fewest
 it allows (1 for the open segment, 3 for the closed loop) and at 4999
 (the top of the benchmark's field-points range), plus one
-``field-grid``. A refactor must leave every hash
+``field-grid``, and one ``field`` and one ``field-grid`` of a weak source. A refactor must leave every hash
 unchanged; a deliberate output change re-baselines them in a change of
 its own.
 """
@@ -73,6 +73,11 @@ FIELD_ARGS = {
                           "--x-count", "3", "--z-min", "-1", "--z-max", "1", "--z-count", "4"),
     "field-grid-e-line": ("field-grid", "e-line", "--intervals", "300", "--x-min", "0.2",
                           "--x-max", "1", "--x-count", "4", "--y-max", "0.4", "--y-count", "2"),
+    # weak sources whose fields are normal floats, though each unscaled term is not
+    "field-e-line-lambda-1e-300": ("field", "e-line", "--lambda", "1e-300", "--at", "400,0,0"),
+    "field-grid-b-loop-current-1e-290": ("field-grid", "b-loop", "--current", "1e-290", "--radius", "1e6",
+                                         "--intervals", "200", "--x-max", "5e5", "--x-count", "3",
+                                         "--z-min=-1e6", "--z-max", "1e6", "--z-count", "4"),
 }
 
 FIELD_GOLDEN = {
@@ -84,6 +89,8 @@ FIELD_GOLDEN = {
     "field-e-line-intervals-4999": "736c6a3231ac72c040a999dd010c4064c54fa34a46edd4c64470cff60228ead5",
     "field-grid-b-loop": "dd56397260f948e3b2b671edebc637de05beb61023eb160835ef63475bba3d80",
     "field-grid-e-line": "64bf40f797834bfdbf1789c55725f1999e69f242d1b6b8dc3b1ddbfeff051760",
+    "field-e-line-lambda-1e-300": "957c70e931dbbe8630fc05f39e45bac15b3b0137497e94f3486f3dd7b6fd7a1c",
+    "field-grid-b-loop-current-1e-290": "44bb509b278c0e288388d361da38eb91128ddda08b8e14b5868b98ba5af1cde9",
 }
 
 

@@ -3,9 +3,12 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechfield.errors import DomainError
 from mechfield.fields import circular_loop, line_segment
@@ -262,12 +265,52 @@ def test_gravity_refuses_bodies_whose_distance_cubed_overflows():
 
 
 def test_gravity_refuses_a_pull_too_small_to_be_a_normal_float():
-    # G * 1 kg / (3e102 m)^3 is about 2.5e-318, a subnormal that has lost digits: refused, not a blurred 7.4e-216
+    # 1 kg bodies 1e103 m apart: the cube overflows, so the pull would be a silent 0
     accel = gravity_accel([1.0, 1.0])
     with pytest.raises(DomainError, match="^gravitating bodies too far apart$"):
-        accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(3e102, 0, 0), ZERO)]))
-    a1, _ = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(1e99, 0, 0), ZERO)])))
-    assert a1.x == pytest.approx(G / 1e198, rel=1e-12, abs=0)
+        accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(1e103, 0, 0), ZERO)]))
+    # nearer, the pull is G m / d^2, though from 3e102 m an unscaled G m / d^3, about 2.5e-318, is subnormal
+    for distance in (1e99, 3e102):
+        a1, _ = triples(accel_at(accel, system(0.0, [(ZERO, ZERO), (Vec3(distance, 0, 0), ZERO)])))
+        assert a1.x == pytest.approx(G / distance**2, rel=1e-12, abs=0)
+
+
+def test_gravity_between_light_bodies_is_computed_wherever_the_pull_is_a_normal_float():
+    # 1e-250 kg bodies 1e16 m apart pull each other at 6.67e-293 m/s^2, a normal float
+    a1, a2 = triples(accel_at(gravity_accel([1e-250, 1e-250]), system(0.0, [(ZERO, ZERO), (Vec3(1e16, 0, 0), ZERO)])))
+    assert a1.x == pytest.approx(G * 1e-250 / 1e32, rel=1e-9, abs=0)
+    assert a2 == -a1
+
+
+@pytest.mark.parametrize("mass", [1e-309, 3e-318])
+def test_gravity_pull_whose_g_m_is_subnormal_is_correctly_rounded(mass):
+    # G m itself is below the normal range: the mass is scaled up before G multiplies it, so no digit is lost
+    a1, a2 = triples(accel_at(gravity_accel([mass, mass]), system(0.0, [(ZERO, ZERO), (Vec3(1e-6, 0, 0), ZERO)])))
+    assert a1 == Vec3(float(Fraction(G) * Fraction(mass) / Fraction(1e-6) ** 2), 0.0, 0.0)
+    assert a2 == -a1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(masses=st.lists(st.floats(1.0, 5e10), min_size=2, max_size=4), data=st.data(), k=st.integers(-1000, 0))
+def test_lighter_bodies_give_the_same_answer_times_their_scale(masses, data, k):
+    # G m below 4 for every body: the masses and their 2**k multiples are scaled into the same range
+    # when built, so a refusal stays the same refusal and each normal component becomes 2**k times it
+    at = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 104))
+    q = [c * 10.0**exponent for *point, exponent in data.draw(st.lists(at, min_size=len(masses), max_size=len(masses)))
+         for c in point]
+
+    def outcome(ms):
+        try:
+            return gravity_accel(ms)(0.0, q, [0.0] * len(q))
+        except DomainError as error:
+            return str(error)
+
+    base, light = outcome(masses), outcome([math.ldexp(m, k) for m in masses])
+    if isinstance(base, str):
+        assert light == base
+    else:
+        kept = [i for i, b in enumerate(base) if abs(b) >= sys.float_info.min or b == 0.0]
+        assert isinstance(light, list) and [light[i] for i in kept] == [math.ldexp(base[i], k) for i in kept]
 
 
 def test_gravity_pulls_a_heavy_body_toward_a_light_one_near_it():
@@ -288,9 +331,13 @@ def test_gravity_computes_each_pair_once(monkeypatch):
 
 
 def ordered_pairs_oracle(masses):
-    """The gravity kernel before it computed each pair once: every body visits every other body."""
+    """The gravity kernel before it computed each pair once: every body visits every other body.
+
+    Like the kernel, it scales the masses by 2**-e, read from the exponents of G and the heaviest
+    mass, so that the heaviest G m is at least 4, and the sums back by 2**e once.
+    """
     ms = tuple(float(m) for m in masses)
-    far = G * max(ms) / sys.float_info.min
+    e = min(math.frexp(G)[1] + math.frexp(max(ms))[1] - 4, 0)
 
     def accel(t, q, v):
         points = [q[i:i + 3] for i in range(0, len(q), 3)]
@@ -307,28 +354,31 @@ def ordered_pairs_oracle(masses):
                 if dist < 1e-6:
                     raise DomainError("gravitational singularity")
                 cube = dist * dist * dist
-                if cube >= far:
+                if cube == math.inf:
                     raise DomainError("gravitating bodies too far apart")
-                scale = G * ms[j] / cube
+                scale = G * math.ldexp(ms[j], -e) / cube
                 ax = ax + dx * scale
                 ay = ay + dy * scale
                 az = az + dz * scale
             out += (ax, ay, az)
-        return out
+        return [math.ldexp(a, e) for a in out]
 
     return accel
 
 
-def gravity_state(rng: random.Random, count: int) -> list[float]:
-    """Coordinates that mix signed zeros, ones, shared values, near and coincident bodies and far ones."""
+def gravity_state(rng: random.Random, count: int, far: tuple[float, float]) -> list[float]:
+    """Coordinates that mix signed zeros, ones, shared values, near and coincident bodies and far ones.
+
+    A far body's coordinates are 10**x m, x uniform on ``far``.
+    """
     q: list[float] = []
     for _ in range(count):
         kind = rng.randrange(5)
         if kind == 0 and q:  # coincident with, or nearer than 1e-6 m to, an earlier body
             i = 3 * rng.randrange(len(q) // 3)
             q += (c + rng.choice((0.0, 3e-7, -5e-7)) for c in q[i:i + 3])
-        elif kind == 1:  # far: past `far` for most masses
-            q += (rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(100, 120) for _ in range(3))
+        elif kind == 1:
+            q += (rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(*far) for _ in range(3))
         else:
             q += (rng.choice((0.0, -0.0, 1.0, -1.0, rng.choice(q) if q else 0.0, rng.uniform(-1e3, 1e3)))
                   for _ in range(3))
@@ -339,9 +389,11 @@ def gravity_state(rng: random.Random, count: int) -> list[float]:
 def test_gravity_matches_the_ordered_pairs_oracle_bit_for_bit(count):
     rng = random.Random(40 + count)
     outcomes = {"value": 0, "gravitational singularity": 0, "gravitating bodies too far apart": 0}
-    for _ in range(400):
-        masses = [10.0 ** rng.uniform(-5, 30) for _ in range(count)]
-        q = gravity_state(rng, count)
+    for n in range(600):
+        if n % 3:  # most far bodies past the 5.6e102 m where a cube overflows
+            masses, q = [10.0 ** rng.uniform(-5, 30) for _ in range(count)], gravity_state(rng, count, (100, 120))
+        else:  # light bodies, each G m below 4, mostly far apart but short of where a cube overflows
+            masses, q = [10.0 ** rng.uniform(-320, 10) for _ in range(count)], gravity_state(rng, count, (1, 102.5))
         v = [0.0] * len(q)
         try:
             expected = repr(ordered_pairs_oracle(masses)(0.0, q, v))

@@ -89,7 +89,10 @@ def _length(x: float, y: float, z: float) -> float:
 
 
 def _upscale(*factors: float) -> int:
-    """e <= 0 with |product of factors| * 2**-e >= 4, a normal float over any finite cube; 0 for one factor from 4 up."""
+    """e <= 0 with |product of factors| * 2**-e >= 4, a normal float over any finite cube; 0 for one factor from 4 up,
+    or for any factor that is not finite: scaled, its finite company could overflow, and what it feeds is refused."""
+    if not all(map(math.isfinite, factors)):
+        return 0
     return min(sum(math.frexp(f)[1] for f in factors) - len(factors) - 2, 0)  # exponents: the product can underflow
 
 

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from mechfield.fields import (
     BIOT_SAVART_CONSTANT,
     COULOMB_CONSTANT,
     Curve,
+    _pieces,
+    _quadrature,
     circular_loop,
     crossed_line_integral,
     electric_field_of_line_charge,
@@ -583,3 +586,85 @@ class TestBuiltOnce:
                 with pytest.raises(DomainError):  # a refusal leaves the field intact
                     field(on_source)
                 assert bits(field(point)) == bits(build()(point))
+
+
+# --- the build pass ---------------------------------------------------------------
+
+
+def captured(field) -> dict:
+    """A built field's closure variables by name: what its build left for the kernel to read."""
+    return dict(zip(field.__code__.co_freevars, (cell.cell_contents for cell in field.__closure__)))
+
+
+def max_quadrature(intervals, curve, record):
+    """The build pass written plainly, an oracle: each end's coordinates read twice,
+    ``record(sample, cx, cy, cz)`` reading the sample's again, and ``max`` keeping the farthest."""
+    pieces = array("d")
+    farthest = 0.0
+    for start, sample, end in _pieces(intervals, curve):
+        x, y, z, a, b, c = sample.x, sample.y, sample.z, start.x, start.y, start.z
+        pieces.extend(record(sample, end.x - a, end.y - b, end.z - c))
+        ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
+        farthest = max(farthest, ux * ux + uy * uy + uz * uz, vx * vx + vy * vy + vz * vz)
+    return pieces, max(3.0 * math.sqrt(farthest), 2.0**-340)
+
+
+def spoiled_curve() -> Curve:
+    """A curve whose points turn NaN a third of the way along, and infinite past two thirds."""
+
+    def func(t):
+        if t < 1.0:
+            return Position(t, 0.5 * t * t, -t)
+        return Position(math.nan, 0.0, 1.0) if t < 2.0 else Position(math.inf, 1.0, -math.inf)
+
+    return Curve(func, 0.0, 3.0)
+
+
+class TestBuildPass:
+    @pytest.mark.parametrize("intervals", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("name", ["helix", "segment", "loop", "spoiled"])
+    def test_records_and_reach_match_the_max_oracle_bit_for_bit(self, name, intervals):
+        curve = {"helix": lambda: counting_helix()[0], "segment": lambda: line_segment(1.3),
+                 "loop": lambda: circular_loop(0.8), "spoiled": spoiled_curve}[name]()
+
+        def outcome(build):
+            try:
+                pieces, reach = build()
+            except ValueError as error:  # a closed curve in fewer than 3 pieces, after its last piece
+                return str(error)
+            return pieces.tobytes(), repr(reach)  # bytes: NaNs compare, and -0.0 differs from 0.0
+
+        got = outcome(lambda: _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: (s.x, s.y, s.z, x, y, z, cx, cy, cz)))
+        want = outcome(lambda: max_quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z) * 2 + (cx, cy, cz)))
+        assert got == want
+
+    @pytest.mark.parametrize("intervals", [1023, 1024, 1025, 2049])  # blocks of 1,024 end short or exactly
+    @pytest.mark.parametrize(
+        "density",
+        [lambda p: math.ldexp(1.0 + p.z, round(-1000 - 80 * p.z)), lambda p: 5e-324],
+        ids=["exponent-varies", "subnormal"],
+    )
+    def test_stored_densities_are_each_raw_density_scaled_by_ldexp(self, density, intervals):
+        raw = []
+
+        def counting(p):
+            raw.append(density(p))
+            return raw[-1]
+
+        field = captured(electric_field_of_line_charge(counting, line_segment(1.0), intervals))
+        e, stored = field["e"], field["pieces"][3::5]
+        assert len(raw) == len(stored) == intervals
+        assert e < -1023 if raw[0] == 5e-324 else e < 0  # 2.0 ** -e would overflow where ldexp does not
+        assert stored.tobytes() == array("d", (math.ldexp(q, -e) for q in raw)).tobytes()
+
+    @pytest.mark.parametrize(
+        "density",
+        [lambda p: math.nan if p.z < -0.49 else 1e308, lambda p: math.nan if p.z > 0.49 else 1e308,
+         lambda p: math.inf if p.z > 0.49 else 1e308],
+        ids=["nan-first", "nan-last", "inf"],
+    )
+    def test_a_density_that_is_not_finite_is_refused_at_evaluation(self, density):
+        # scaling the finite densities by 2**3 for a NaN first or an inf would overflow at build
+        field = electric_field_of_line_charge(density, line_segment(1.0), 100)
+        with pytest.raises(DomainError, match=r"^field is not finite at 1,0,0$"):
+            field(Position(1.0, 0.0, 0.0))

@@ -184,12 +184,14 @@ def _quadrature(intervals: int, curve: Curve, record: Callable[..., Iterable[flo
 
 
 def _result(x: float, y: float, z: float, constant: float, e: int, strength: float, p: tuple[float, float, float]) -> Vec3:
-    """``2**e * constant * (x, y, z)``, each rounded once; a :class:`DomainError` naming ``p`` if a component is
-    not finite, or if the source's ``strength`` is not 0 yet no component is normal (the rule judges the vector)."""
+    """``2**e * constant * (x, y, z)``, each rounded once, or ``ZERO`` where the source's ``strength`` is 0; a
+    :class:`DomainError` naming ``p`` if a component is not finite (whatever the strength), or if none is normal."""
     value = Vec3(math.ldexp(x * constant, e), math.ldexp(y * constant, e), math.ldexp(z * constant, e))
     if not all(map(math.isfinite, value)):
         raise DomainError(f"field is not finite at {format_row(map(float, p))}")
-    if max(map(abs, value)) < _TINY and strength:  # a source of no strength is 0 everywhere
+    if not strength:  # a source of no strength is 0 everywhere, +0.0 in each component
+        return ZERO
+    if max(map(abs, value)) < _TINY:
         raise _refused("too far from the source", p)
     return value
 
@@ -214,17 +216,16 @@ def electric_field_of_line_charge(
     that a cubed distance overflows (beyond about 5.6e102 m, whatever the
     strength), or where the field overflows or, for a charged source, has
     no normal component, raises :class:`DomainError` naming the point, not garbage.
-    The build records ``(x, y, z, density, chord length)`` per piece, then scales the densities in place, 1,024 at a time.
+    The build records ``(x, y, z, density, chord length)`` per piece, then scales every density in place by 2**-e.
     """
     pieces, reach = _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: (x, y, z, density(s), _length(cx, cy, cz)))
     # densities by 2**-e, so that over every finite cube the densest term is a normal float; in place, and a
     # block at a time, so that the build's peak holds one block, not a second column
     with memoryview(pieces)[3::5] as densities:
         strength = max(map(abs, densities))
-        e = _upscale(strength)
-        if e:  # 0 where the densest is 4 or more, or not finite
-            for i in range(0, len(densities), 1024):
-                densities[i:i + 1024] = array("d", map(math.ldexp, densities[i:i + 1024], repeat(-e)))
+        e = _upscale(strength)  # 0 where the densest is 4 or more, or not finite: there ldexp keeps every bit
+        for i in range(0, len(densities), 1024):
+            densities[i:i + 1024] = array("d", map(math.ldexp, densities[i:i + 1024], repeat(-e)))
 
     def field(point: Position) -> Vec3:
         px, py, pz = point.x, point.y, point.z

@@ -106,10 +106,6 @@ def _system_row(state: State) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _build_sho(params: Mapping[str, float]) -> ScenarioRun:
-    return ScenarioRun((0.0, *X_HAT, *ZERO), damped_driven_osc(0.0, 0.0, 0.0))
-
-
 def _build_ddho(params: Mapping[str, float]) -> ScenarioRun:
     accel = damped_driven_osc(params["beta"], params["amp"], params["omega"])
     return ScenarioRun((0.0, *X_HAT, *ZERO), accel)
@@ -160,7 +156,7 @@ def _build_spring_chain(params: Mapping[str, float]) -> ScenarioRun:
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "sho": Scenario(dt=0.01, steps=1000, params={}, build=_build_sho),
+    "sho": Scenario(dt=0.01, steps=1000, params={}, build=lambda params: _build_ddho({"beta": 0.0, "amp": 0.0, "omega": 0.0})),
     "ddho": Scenario(
         dt=0.01,
         steps=1000,

@@ -74,6 +74,15 @@ def test_simulate_methods_differ(capsys):
     assert rows["euler-cromer"] != rows["rk4"]
 
 
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+def test_simulate_sho_is_ddho_at_rest_byte_for_byte(capsys, method):
+    assert SCENARIOS["sho"][:3] == (0.01, 1000, {})  # dt, steps and no parameters of its own
+    sho = run_cli(capsys, "simulate", "sho", "--steps", "300", "--method", method)
+    ddho = run_cli(capsys, "simulate", "ddho", "--beta", "0", "--amp", "0", "--omega", "0", "--steps", "300",
+                   "--method", method)
+    assert sho[0] == EXIT_OK and sho == ddho
+
+
 def test_simulate_pendulum_schema(capsys):
     code, out, _ = run_cli(capsys, "simulate", "pendulum", "--steps", "2")
     lines = out.splitlines()
@@ -780,9 +789,14 @@ def test_field_of_a_weak_source_is_evaluated_wherever_it_is_a_normal_float(capsy
     assert field_x(capsys, "e-line", "--lambda", "1e-310", "--at", "1,0,0") == pytest.approx(1e-310 * unit, rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("source", [("e-line", "--lambda", "0"), ("b-loop", "--current", "0")], ids=["e-line", "b-loop"])
+@pytest.mark.parametrize("source", [("e-line", "--lambda", "0"), ("b-loop", "--current", "0"), ("e-line", "--lambda=-0")],
+                         ids=["e-line", "b-loop", "e-line-minus-0"])
 def test_field_of_a_source_of_no_strength_is_zero(capsys, source):
     assert run_cli(capsys, "field", *source, "--at", "1,0,1") == (EXIT_OK, "0,0,0\n", "")
+    # every displacement negative: E's sums start from -0.0, which terms of -0.0 would keep
+    assert run_cli(capsys, "field", *source, "--at=-1,-0.5,-1") == (EXIT_OK, "0,0,0\n", "")
+    code, out, err = run_cli(capsys, "field-grid", *source, "--x-min", "-1", "--x-max", "-1", "--z-min", "-2", "--z-max", "-2")
+    assert (code, out, err) == (EXIT_OK, "x,y,z,Fx,Fy,Fz\n-1,0,-2,0,0,0\n", "")
 
 
 def test_field_near_a_chord_too_short_to_square_is_domain_error(capsys):

@@ -641,8 +641,9 @@ class TestBuildPass:
     @pytest.mark.parametrize("intervals", [1023, 1024, 1025, 2049])  # blocks of 1,024 end short or exactly
     @pytest.mark.parametrize(
         "density",
-        [lambda p: math.ldexp(1.0 + p.z, round(-1000 - 80 * p.z)), lambda p: 5e-324],
-        ids=["exponent-varies", "subnormal"],
+        [lambda p: math.ldexp(1.0 + p.z, round(-1000 - 80 * p.z)), lambda p: 5e-324,
+         lambda p: 8.0 * (1.5 + p.z), lambda p: 8.0],
+        ids=["exponent-varies", "subnormal", "strong-varies", "strong"],
     )
     def test_stored_densities_are_each_raw_density_scaled_by_ldexp(self, density, intervals):
         raw = []
@@ -654,8 +655,10 @@ class TestBuildPass:
         field = captured(electric_field_of_line_charge(counting, line_segment(1.0), intervals))
         e, stored = field["e"], field["pieces"][3::5]
         assert len(raw) == len(stored) == intervals
-        assert e < -1023 if raw[0] == 5e-324 else e < 0  # 2.0 ** -e would overflow where ldexp does not
+        # 2.0 ** -e would overflow where ldexp does not; from 4 C/m up e is 0
+        assert e < -1023 if raw[0] == 5e-324 else e == 0 if raw[0] >= 4.0 else e < 0
         assert stored.tobytes() == array("d", (math.ldexp(q, -e) for q in raw)).tobytes()
+        assert e or stored.tobytes() == array("d", raw).tobytes()  # from 4 C/m up the pass keeps each density's bits
 
     @pytest.mark.parametrize(
         "density",

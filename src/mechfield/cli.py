@@ -33,6 +33,7 @@ import functools
 import io
 import math
 import os
+import re
 import stat
 import sys
 from itertools import chain, islice, product
@@ -154,6 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--out", default=None, help="output file (default: stdout)")
     grid.set_defaults(handler=_cmd_field_grid)
 
+    for p in (parser, *sub.choices.values()):  # "-1,0,0", "-1e308" and "-.5" are values: no flag starts "-" and a digit
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -185,10 +185,15 @@ def _quadrature(intervals: int, curve: Curve, record: Callable[..., Iterable[flo
 
 def _result(x: float, y: float, z: float, constant: float, e: int, strength: float, p: tuple[float, float, float]) -> Vec3:
     """``2**e * constant * (x, y, z)``, each rounded once, or ``ZERO`` where the source's ``strength`` is 0; a
-    :class:`DomainError` naming ``p`` if a component is not finite (whatever the strength), or if none is normal."""
-    value = Vec3(math.ldexp(x * constant, e), math.ldexp(y * constant, e), math.ldexp(z * constant, e))
-    if not all(map(math.isfinite, value)):
-        raise DomainError(f"field is not finite at {format_row(map(float, p))}")
+    :class:`DomainError` naming ``p`` if a component is not finite (whatever the strength), or if none is normal.
+    Only B's e is ever positive: there a sum below 1 is scaled before the constant, so no product is rounded twice
+    below the normal range, and a field that ``ldexp`` would carry past the float range is not finite either."""
+    try:
+        value = Vec3(*(math.ldexp(v, e) * constant if 0 < e and abs(v) < 1 else math.ldexp(v * constant, e) for v in (x, y, z)))
+        if not all(map(math.isfinite, value)):
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"field is not finite at {format_row(map(float, p))}") from None
     if not strength:  # a source of no strength is 0 everywhere, +0.0 in each component
         return ZERO
     if max(map(abs, value)) < _TINY:
@@ -255,15 +260,15 @@ def magnetic_field_of_line_current(
 ) -> VectorField:
     """Magnetic field (tesla) of a current flowing along a curve.
 
-    Biot-Savart: the field at p is BIOT_SAVART_CONSTANT * current times
-    the integral of dl x d / |d|^3 with d from source to p, each term
-    computed in that order. Evaluating nearer a sample than the reach, so
-    far that a cubed distance overflows (beyond about 5.6e102 m, whatever
-    the strength), or where the field overflows or, for a current that is
-    not 0, has no normal component, raises :class:`DomainError` naming the point.
+    Biot-Savart: the field at p is BIOT_SAVART_CONSTANT * current times the integral of dl x d / |d|^3 with d from
+    source to p, each term computed in that order. The build scales the current into [4, 8) by an exact power of two,
+    down as well as up, and each evaluation scales its sum back once, so the field is exactly linear in the current.
+    Evaluating nearer a sample than the reach, so far that a cubed distance overflows (beyond about 5.6e102 m, whatever
+    the strength), or where the field itself overflows or, for a current that is not 0, has no normal component,
+    raises :class:`DomainError` naming the point.
     """
     pieces, reach = _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: (x, y, z, cx, cy, cz))
-    e = _upscale(current)  # as for the E field's densities
+    e = math.frexp(current)[1] - 3  # the current into [4, 8) by 2**-e, up or down: it has no weaker company to lose
     current = math.ldexp(current, -e)
 
     def field(point: Position) -> Vec3:

@@ -1,5 +1,6 @@
 """CLI contract tests: CSV schemas, determinism, exit codes, all-or-nothing output."""
 
+import argparse
 import errno
 import math
 import os
@@ -654,6 +655,39 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
         assert "must be a finite number" in err
 
 
+SUBCOMMANDS = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+FLOAT_FLAGS = [(command, action.option_strings[0]) for command, parser in SUBCOMMANDS.items()
+               for action in parser._actions if action.type is cli._finite_float]
+REQUIRED = {"simulate": ("sho",), "field": ("e-line", "--at", "1,0,0"), "field-grid": ("e-line",)}
+
+
+@pytest.mark.parametrize(("command", "flag"), FLOAT_FLAGS)
+@pytest.mark.parametrize("value", ["-1e308", "-2.5e-3", "-.5E+1", "-5."])
+def test_a_negative_value_after_any_float_flag_parses_as_its_equals_form(command, flag, value):
+    parse = cli._build_parser().parse_args
+    spaced = parse([command, *REQUIRED[command], flag, value])
+    assert spaced == parse([command, *REQUIRED[command], f"{flag}={value}"])
+    assert getattr(spaced, flag[2:].replace("-", "_")) == float(value)
+
+
+def test_every_command_has_float_flags():
+    assert {command for command, _ in FLOAT_FLAGS} == {"simulate", "field", "field-grid"}
+    assert ("field-grid", "--x-min") in FLOAT_FLAGS and ("simulate", "--dt") in FLOAT_FLAGS
+
+
+@pytest.mark.parametrize("at", ["-1,0,0", "-.5,0,0", "-1e-3,-2,0.25"])
+def test_a_negative_point_after_at_prints_what_its_equals_form_prints(capsys, at):
+    spaced = run_cli(capsys, "field", "e-line", "--at", at)
+    assert spaced[0] == EXIT_OK
+    assert spaced == run_cli(capsys, "field", "e-line", f"--at={at}")
+
+
+def test_a_flag_after_at_is_still_a_missing_point(capsys):
+    code, out, err = run_cli(capsys, "field", "e-line", "--at", "-x")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --at: expected one argument" in err
+
+
 HELP_ARGV = [(command, "--help") for command in ("simulate", "field", "field-grid")]
 
 
@@ -722,6 +756,28 @@ def test_field_overflow_is_domain_error(capsys):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert "not finite" in err
+
+
+def test_field_of_a_strong_current_is_computed_where_it_is_a_float(capsys):
+    # mu0 I / (2 * 2**1.5) on the axis of a 1 m loop: about 2.2e301 T, though the sum before the constant is not a float
+    code, out, err = run_cli(capsys, "field", "b-loop", "--current", "1e308", "--at", "0,0,1")
+    assert (code, err) == (EXIT_OK, "")
+    bx, by, bz = out.strip().split(",")
+    assert bz == "2.22143781e+301"
+    # the default 1000-chord rule is 1.65e-6 short on this axis, and the field is linear in its current
+    assert float(bz) == pytest.approx(4e-7 * math.pi * 1e308 / (2.0 * 2.0**1.5), rel=2e-6, abs=0)
+    unit = magnetic_field_of_line_current(1.0, circular_loop(1.0))(Position(0.0, 0.0, 1.0))
+    assert bz == f"{1e308 * unit.z:.9g}"
+    code, grid, _ = run_cli(capsys, "field-grid", "b-loop", "--current", "1e308", "--z-min", "1", "--z-max", "1")
+    row = grid.splitlines()[1].split(",")
+    assert code == EXIT_OK and row[:3] == ["0", "0", "1"]
+    assert ",".join(f"{float(c):.9g}" for c in row[3:]) == out.strip()
+
+
+def test_field_of_a_strong_current_that_overflows_is_domain_error(capsys):
+    # 1e308 A at the center of a 1e-7 m loop: about 6.3e308 T, past the float range
+    code, out, err = run_cli(capsys, "field", "b-loop", "--current", "1e308", "--radius", "1e-7", "--at", "0,0,0")
+    assert (code, out, err) == (EXIT_DOMAIN, "", "error: field is not finite at 0,0,0\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,7 +9,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mechfield.errors import DomainError
@@ -306,10 +306,10 @@ class TestMagneticField:
             field(Position(0.5, 0.5, -0.0))
 
     def test_overflowing_evaluation_is_an_error_naming_the_point(self):
-        # 1e308 A seen from 2 cm, three pieces out: each term's quotient overflows
-        field = magnetic_field_of_line_current(1e308, circular_loop(1.0))
-        with pytest.raises(DomainError, match="^field is not finite at 1.02,0,0$"):
-            field(Position(1.02, 0.0, 0.0))
+        # 1e308 A at the center of a 1e-7 m loop: mu0 I / 2R is about 6.3e308 T, past the float range
+        field = magnetic_field_of_line_current(1e308, circular_loop(1e-7))
+        with pytest.raises(DomainError, match="^field is not finite at 0,0,0$"):
+            field(Position(0.0, 0.0, 0.0))
 
     def test_not_a_number_point_ends_as_a_field_that_is_not_finite(self):
         for field in (magnetic_field_of_line_current(1.0, circular_loop(1.0)),
@@ -400,6 +400,53 @@ class TestFarRuleAtEveryStrength:
         else:
             kept = [i for i, b in enumerate(base) if abs(b) >= sys.float_info.min or b == 0.0]
             assert isinstance(weak, Vec3) and [weak[i] for i in kept] == [math.ldexp(base[i], k) for i in kept]
+
+
+class TestOverflowRuleAtEveryCurrent:
+    """A current scaled by 2**k, k >= 1, scales its field by 2**k and nothing else.
+
+    A current from 4 up and its 2**k multiple are scaled into the same range [4, 8) when the field
+    is built, so their sums are the same floats, and each is scaled back once. A refusal on or too
+    far from the source stays that refusal, unless it was a field with no normal component that 2**k
+    lifts; each component that was a normal float becomes exactly 2**k times it; and where 2**k
+    times such a component overflows, the field is refused as not finite.
+    """
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(current=st.floats(4.0, 8.0, exclude_max=True), radius=st.sampled_from([1.0, 1e-7]),
+           at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(-8, 104), k=st.integers(1, 1020))
+    @example(current=7.99, radius=1.0, at=(0.0, 0.0, 1.0), exponent=0, k=1020)  # the sum overflows, the field does not
+    @example(current=7.99, radius=1e-7, at=(0.0, 0.0, 0.0), exponent=0, k=1020)  # the field overflows
+    def test_a_stronger_current_gives_the_same_answer_times_its_scale(self, current, radius, at, exponent, k):
+        point = Position(*(c * 10.0**exponent for c in at))
+        where = format_row((point.x, point.y, point.z))
+
+        def outcome(i: float) -> Vec3 | str:
+            try:
+                return magnetic_field_of_line_current(i, circular_loop(radius), 16)(point)
+            except DomainError as error:
+                return str(error)
+
+        base, strong = outcome(current), outcome(math.ldexp(current, k))
+        lifted = math.ldexp(sys.float_info.min, k)  # 2**k times the normal range's floor
+        if isinstance(base, str):
+            assert strong == base or (base == f"field point too far from the source at {where}"
+                                      and isinstance(strong, Vec3) and max(map(abs, strong)) <= lifted)
+        elif any(math.isinf(abs(b) * 2.0**k) for b in base):
+            assert strong == f"field is not finite at {where}"
+        else:
+            assert isinstance(strong, Vec3)
+            for b, s in zip(base, strong):
+                assert s == math.ldexp(b, k) if abs(b) >= sys.float_info.min else abs(s) <= lifted
+
+    def test_a_strong_currents_far_field_is_rounded_once(self):
+        # 5 * 2**40 A seen from 5e102 m on the axis of a 16-chord unit loop: scaled into [4, 8), the sum
+        # before the constant is a normal float, but its product with 1e-7 would be a subnormal with
+        # only about 33 bits; the sum is scaled up first, so bz keeps every digit of the chords' dipole
+        current, z = 5.0 * 2.0**40, 5e102
+        bz = magnetic_field_of_line_current(current, circular_loop(1.0), 16)(Position(0.0, 0.0, z)).z
+        dipole = BIOT_SAVART_CONSTANT * current * 16 * 2.0 * math.sin(math.pi / 16) / z**3
+        assert bz == pytest.approx(dipole, rel=1e-13, abs=0)
 
 
 class TestNearRuleAtEveryScale:

@@ -12,7 +12,8 @@ between the piece's endpoints (its length, ``Vec3.magnitude``'s at any
 scale, for plain line integrals and the E field, the chord vector itself for
 the crossed variant and the B field). No tangent vectors are required of the
 caller, and the scheme is second order: halving the interval width cuts the
-error about four-fold for smooth integrands.
+error about four-fold for smooth integrands. A closed curve is cut shut at
+every n: its last chord ends at its first point, so its chords telescope.
 A field builder cuts its curve once, when the field is built, and keeps
 per piece only what its kernel reads: E the sample, its density and its
 chord's length, B the sample and its chord. A point within about a piece
@@ -111,25 +112,28 @@ def line_segment(length: float) -> Curve:
 def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, Position]]:
     """Cut a curve into equal parameter pieces: each one's chord start, midpoint sample and chord end.
 
-    A closed curve, whose end comes back to its start, encloses no area in
-    fewer than 3 pieces: cut so, it raises ``ValueError`` after its last piece.
+    A closed curve, whose end comes back to its start, is cut shut at every n: its last chord ends at
+    its first point itself. It encloses no area in fewer than 3 pieces: cut so, it raises ``ValueError``.
     """
     if intervals < 1:
         raise ValueError(f"need at least one interval, got {intervals}")
     func, start = curve.func, curve.start
     width = (curve.end - start) / intervals
     first = previous = func(start)
-    for i in range(intervals):
+    for i in range(intervals - 1):
         sample = func(start + (i + 0.5) * width)
         following = func(start + (i + 1) * width)
         yield previous, sample, following
         previous = following
-    if intervals < 3:
-        # Relative only: a loop's ends differ by about 2.4e-16 of its radius,
-        # and an absolute bound would call every open curve below it closed.
-        extent = max(displacement(first, p).magnitude() for p in (sample, previous))
-        if displacement(first, previous).magnitude() < 1e-9 * extent:
+    sample, end = func(start + (intervals - 0.5) * width), func(start + intervals * width)
+    # Relative only: a loop's ends differ by about 2.4e-16 of its radius,
+    # and an absolute bound would call every open curve below it closed.
+    extent = max(displacement(first, p).magnitude() for p in (sample, previous))
+    if displacement(first, end).magnitude() < 1e-9 * extent:
+        if intervals < 3:
             raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
+        end = first
+    yield previous, sample, end
 
 
 def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) -> V:
@@ -146,9 +150,9 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
     """Integrate field x dl along a curve.
 
     Same midpoint scheme as :func:`line_integral`, but each term crosses
-    the sampled field value with the chord *vector*, in that order. Over a
-    closed curve the chords telescope, so a constant field integrates to
-    zero up to float summation.
+    the sampled field value with the chord *vector*, in that order. A
+    closed curve is cut shut at every n, so its chords telescope and a
+    constant field integrates to zero up to their rounding and summation.
     """
     return sum((field(s).cross(displacement(a, b)) for a, s, b in _pieces(intervals, curve)), ZERO)
 

@@ -153,6 +153,27 @@ class TestClosedCurves:
             for intervals in (1, 2):
                 line_integral(intervals, lambda p: 1.0, curve)  # not refused
 
+    @pytest.mark.parametrize("radius", [1.0, 1e-7, 3.7e5])
+    def test_loop_is_cut_shut_and_its_chords_telescope(self, radius):
+        loop = circular_loop(radius)
+        for intervals in [*range(3, 65), 100, 1000, 4999]:
+            pieces = list(_pieces(intervals, loop))
+            assert repr(pieces[-1][2]) == repr(pieces[0][0]), intervals  # the last chord ends at the first point
+            chords = [displacement(a, b) for a, _, b in pieces]
+            # the exact differences of a shut polygon's vertices sum to 0, and each rounds by at most 2**-53 of itself
+            sums = [math.fsum(c[i] for c in chords) for i in range(3)]
+            assert max(map(abs, sums)) <= 2.0**-53 * math.fsum(c.magnitude() for c in chords), intervals
+            if intervals in (100, 1000):
+                assert sums == [0.0, 0.0, 0.0]
+
+    def test_open_curves_end_where_their_function_puts_them(self):
+        almost_loop = Curve(circular_loop(1.0).func, 0.0, 2.0 * math.pi - 1e-6)
+        for curve in (line_segment(1.0), almost_loop):
+            for intervals in (1, 2, 3, 1000):
+                *_, (_, _, end) = _pieces(intervals, curve)
+                width = (curve.end - curve.start) / intervals
+                assert repr(end) == repr(curve.func(curve.start + intervals * width))
+
 
 class TestCrossedLineIntegral:
     def test_constant_field_over_closed_curve_vanishes(self):
@@ -326,6 +347,80 @@ class TestMagneticField:
             with pytest.raises(DomainError, match="field point on source"):
                 field(point)
         assert field(Position(0.0, 0.0, 2.5)).z > 0.0  # 2.69 m from every sample: an ordinary field point
+
+
+# --- physics laws, through the public integrators --------------------------------
+
+
+def circle_round(wire: Position, along: Vec3, across: Vec3, radius: float, tilt: float, offset: float, phase: float):
+    """A circle of ``radius`` that links once a wire passing through ``wire`` along the unit vector
+    ``along``, with the right hand about ``along``, and the circle's unit tangent at each of its points.
+
+    ``across`` is a unit vector normal to ``along``. The circle's centre lies ``offset`` from ``wire``
+    along ``across``, and its axis is ``along`` tilted by ``tilt`` toward ``along x across``. So each
+    of its points lies at least ``radius * cos(tilt) - offset`` from the wire's tangent line.
+    """
+    axis = along * math.cos(tilt) + along.cross(across) * math.sin(tilt)
+    up = axis.cross(across)
+    centre = wire.shifted(across * offset)
+
+    def func(t: float) -> Position:
+        return centre.shifted(across * (radius * math.cos(t)) + up * (radius * math.sin(t)))
+
+    return Curve(func, phase, phase + 2.0 * math.pi), lambda p: axis.cross(displacement(centre, p)) / radius
+
+
+def circulation(field, path_intervals: int, path) -> float:
+    """The line integral of ``field`` round ``path``: the field dotted with the path's unit tangent, per chord length."""
+    curve, tangent = path
+    return line_integral(path_intervals, lambda p: field(p).dot(tangent(p)), curve)
+
+
+class TestPhysicsLaws:
+    """Ampère's law for B and zero circulation for E, each through ``line_integral``.
+
+    A circle's chord is sin(x)/x of its arc, x = pi/n, and it is parallel to the tangent at its midpoint
+    sample. So over a circle both rules are the periodic midpoint rule, whose error is exponentially
+    small for a smooth integrand, times sin(x)/x, about 1 - x**2/6 = 1 - (2 pi/n)**2/24. The paths keep every
+    point at least half their radius, and at least three pieces of the source, from the wire. The
+    bounds are twice the leading terms, for what they leave out.
+    """
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(radius=st.sampled_from([1e-7, 1.0, 3.7e5]), current=st.floats(0.1, 10.0), sign=st.sampled_from([1.0, -1.0]),
+           intervals=st.integers(160, 640), path_intervals=st.integers(64, 128), size=st.floats(0.0, 1.0),
+           angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4), offset=st.floats(0.0, 0.2),
+           phase=st.floats(0.0, 2.0 * math.pi))
+    def test_amperes_law_round_a_loop(self, radius, current, sign, intervals, path_intervals, size, angle, tilt,
+                                      offset, phase):
+        current *= sign
+        loop = circular_loop(radius)
+        field = magnetic_field_of_line_current(current, loop, intervals)
+        shortest = 12.0 * math.pi / intervals  # half of it is three pieces' length
+        rho = radius * (shortest + size * (0.25 - shortest))
+        along, across = Vec3(-math.sin(angle), math.cos(angle), 0.0), Vec3(math.cos(angle), math.sin(angle), 0.0)
+        path = circle_round(loop.func(angle), along, across, rho, tilt, offset * rho, phase)
+        mu0_i = 4.0 * math.pi * BIOT_SAVART_CONSTANT * current
+        bound = ((2.0 * math.pi / intervals) ** 2 + (2.0 * math.pi / path_intervals) ** 2) / 12.0
+        assert abs(circulation(field, path_intervals, path) - mu0_i) <= bound * abs(mu0_i)
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(length=st.sampled_from([1e-7, 1.0, 3.7e5]), density=st.floats(1e-10, 1e-8), slope=st.floats(-0.9, 0.9),
+           intervals=st.integers(200, 400), path_intervals=st.integers(160, 256), size=st.floats(0.0, 1.0),
+           height=st.floats(-0.4, 0.4), angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4),
+           offset=st.floats(0.0, 0.2), phase=st.floats(0.0, 2.0 * math.pi))
+    def test_electric_circulation_round_a_segment_is_zero(self, length, density, slope, intervals, path_intervals,
+                                                          size, height, angle, tilt, offset, phase):
+        # E of point-like pieces is a gradient, so only rounding is left: each of the n + m sums and the few
+        # products of each term round once, and no term is larger than k max|density| L / (radius / 2)**2
+        field = electric_field_of_line_charge(lambda p: density * (1.0 + slope * p.z / length), line_segment(length),
+                                              intervals)
+        rho = length * (0.1 + 0.2 * size)
+        across = Vec3(math.cos(angle), math.sin(angle), 0.0)
+        path = circle_round(Position(0.0, 0.0, height * length), Z_HAT, across, rho, tilt, offset * rho, phase)
+        largest = COULOMB_CONSTANT * density * (1.0 + abs(slope) / 2.0) * length / (rho / 2.0) ** 2
+        bound = (intervals + path_intervals + 32) * 2.0**-53 * largest * 2.0 * math.pi * rho
+        assert abs(circulation(field, path_intervals, path)) <= bound
 
 
 class TestFarPoints:
@@ -677,7 +772,7 @@ class TestBuildPass:
         def outcome(build):
             try:
                 pieces, reach = build()
-            except ValueError as error:  # a closed curve in fewer than 3 pieces, after its last piece
+            except ValueError as error:  # a closed curve in fewer than 3 pieces, before its last piece
                 return str(error)
             return pieces.tobytes(), repr(reach)  # bytes: NaNs compare, and -0.0 differs from 0.0
 

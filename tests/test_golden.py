@@ -87,10 +87,10 @@ FIELD_GOLDEN = {
     "field-b-loop-intervals-4999": "a9a3105a74466b412ecbb8d7bfe365d048e07e0a632642fae269696c0216f3e9",
     "field-e-line-intervals-1": "26516f4f4f2a86d3eebbbf2941dabfefdc64811de36a77d876fb47f4133bf005",
     "field-e-line-intervals-4999": "736c6a3231ac72c040a999dd010c4064c54fa34a46edd4c64470cff60228ead5",
-    "field-grid-b-loop": "dd56397260f948e3b2b671edebc637de05beb61023eb160835ef63475bba3d80",
+    "field-grid-b-loop": "05aabe8c1e37265948ce596eed6478908da697445ef79b9b035cf4b190c0baa0",
     "field-grid-e-line": "64bf40f797834bfdbf1789c55725f1999e69f242d1b6b8dc3b1ddbfeff051760",
     "field-e-line-lambda-1e-300": "957c70e931dbbe8630fc05f39e45bac15b3b0137497e94f3486f3dd7b6fd7a1c",
-    "field-grid-b-loop-current-1e-290": "44bb509b278c0e288388d361da38eb91128ddda08b8e14b5868b98ba5af1cde9",
+    "field-grid-b-loop-current-1e-290": "77752070cecd8956c50cd648dfacee1eb11be5ee7cefcaa51936008fe2bb1baa",
 }
 
 

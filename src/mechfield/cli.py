@@ -41,6 +41,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequen
 
 from .errors import DomainError
 from .fields import (
+    _INTERVALS,
     VectorField,
     circular_loop,
     electric_field_of_line_charge,
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (field, grid):
         p.add_argument("kind", choices=FIELD_SOURCES, help="field source kind")
         _add_param_flags(p, FIELD_SOURCES)
-        p.add_argument("--intervals", type=int, default=1000, help="quadrature intervals (default %(default)s)")
+        p.add_argument("--intervals", type=int, default=_INTERVALS, help="quadrature intervals (default %(default)s)")
     field.add_argument("--at", type=_point, required=True, metavar="X,Y,Z", help="field point, meters")
     field.set_defaults(handler=_cmd_field, out=None)
 

@@ -48,6 +48,7 @@ __all__ = [
 
 COULOMB_CONSTANT = 9e9  # N m^2 / C^2, i.e. 1 / (4 pi eps0)
 BIOT_SAVART_CONSTANT = 1e-7  # T m / A, i.e. mu0 / (4 pi)
+_INTERVALS = 1000  # a field builder's quadrature intervals, and the CLI's --intervals, unless given
 
 # The reach's floor: the smallest power of two whose cube is a normal float, 2**-340 m.
 _NEAREST = 2.0 ** math.ceil(math.log2(_TINY) / 3)
@@ -211,7 +212,7 @@ def _refused(where: str, p: tuple[float, float, float]) -> DomainError:
 
 
 def electric_field_of_line_charge(
-    density: ScalarField, curve: Curve, intervals: int = 1000
+    density: ScalarField, curve: Curve, intervals: int = _INTERVALS
 ) -> VectorField:
     """Electric field (V/m) of charge distributed along a curve.
 
@@ -260,7 +261,7 @@ def electric_field_of_line_charge(
 
 
 def magnetic_field_of_line_current(
-    current: float, curve: Curve, intervals: int = 1000
+    current: float, curve: Curve, intervals: int = _INTERVALS
 ) -> VectorField:
     """Magnetic field (tesla) of a current flowing along a curve.
 

@@ -60,7 +60,7 @@ class ScenarioRun(NamedTuple):
 
     @property
     def cromer_step(self) -> Callable[[float, State], State]:
-        """Euler-Cromer as ``step(dt, state)``: only ``perfbench/layers.py`` reads it, and it goes with that."""
+        """Euler-Cromer ``step(dt, state)``, a ``partial`` on :attr:`equation`: ``perfbench/layers.py`` alone calls it."""
         return partial(euler_cromer_method, self.equation)
 
 

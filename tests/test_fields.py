@@ -386,7 +386,7 @@ class TestPhysicsLaws:
     bounds are twice the leading terms, for what they leave out.
     """
 
-    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=12)
     @given(radius=st.sampled_from([1e-7, 1.0, 3.7e5]), current=st.floats(0.1, 10.0), sign=st.sampled_from([1.0, -1.0]),
            intervals=st.integers(160, 640), path_intervals=st.integers(64, 128), size=st.floats(0.0, 1.0),
            angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4), offset=st.floats(0.0, 0.2),
@@ -404,7 +404,7 @@ class TestPhysicsLaws:
         bound = ((2.0 * math.pi / intervals) ** 2 + (2.0 * math.pi / path_intervals) ** 2) / 12.0
         assert abs(circulation(field, path_intervals, path) - mu0_i) <= bound * abs(mu0_i)
 
-    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=12)
     @given(length=st.sampled_from([1e-7, 1.0, 3.7e5]), density=st.floats(1e-10, 1e-8), slope=st.floats(-0.9, 0.9),
            intervals=st.integers(200, 400), path_intervals=st.integers(160, 256), size=st.floats(0.0, 1.0),
            height=st.floats(-0.4, 0.4), angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4),
@@ -471,7 +471,7 @@ class TestFarRuleAtEveryStrength:
     float becomes exactly 2**k times it, one rounding even where that falls below the normal range.
     """
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(kind=st.sampled_from(["e-line", "b-loop"]), strength=st.floats(0.5, 4.0, exclude_max=True),
            at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(0, 104), k=st.integers(-1020, 0))
     def test_a_weaker_source_gives_the_same_answer_times_its_scale(self, kind, strength, at, exponent, k):
@@ -507,7 +507,7 @@ class TestOverflowRuleAtEveryCurrent:
     times such a component overflows, the field is refused as not finite.
     """
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(current=st.floats(4.0, 8.0, exclude_max=True), radius=st.sampled_from([1.0, 1e-7]),
            at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(-8, 104), k=st.integers(1, 1020))
     @example(current=7.99, radius=1.0, at=(0.0, 0.0, 1.0), exponent=0, k=1020)  # the sum overflows, the field does not
@@ -553,7 +553,7 @@ class TestNearRuleAtEveryScale:
     no term's cube overflows or leaves a unit strength's term subnormal.
     """
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(kind=st.sampled_from(["e-line", "b-loop"]), intervals=st.integers(3, 64),
            at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), k=st.integers(-330, 330))
     def test_accept_or_refuse_is_the_same_at_every_scale(self, kind, intervals, at, k):

@@ -290,7 +290,7 @@ def test_gravity_pull_whose_g_m_is_subnormal_is_correctly_rounded(mass):
     assert a2 == -a1
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(masses=st.lists(st.floats(1.0, 5e10), min_size=2, max_size=4), data=st.data(), k=st.integers(-1000, 0))
 def test_lighter_bodies_give_the_same_answer_times_their_scale(masses, data, k):
     # G m below 4 for every body: the masses and their 2**k multiples are scaled into the same range

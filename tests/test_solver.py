@@ -1,5 +1,6 @@
 """Stepper, evolution-method, and solution-stream tests."""
 
+import functools
 import itertools
 import math
 import random
@@ -108,6 +109,21 @@ def test_euler_cromer_method_matches_acceleration_stepper_bit_for_bit(name):
     for _ in range(500):
         state = euler_cromer_method(equation, scenario.dt, state)
         expected = accel_cromer_step(run.accel, scenario.dt, expected)
+        assert repr(state) == repr(expected)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_cromer_step_is_euler_cromer_on_its_equation_bit_for_bit(name):
+    # perfbench/layers.py, its only caller, rebuilds it from step.func, step.args[0], step.args[1:] and step.keywords
+    scenario = SCENARIOS[name]
+    run = scenario.build(scenario.defaults)
+    step = run.cromer_step
+    assert isinstance(step, functools.partial) and step.func is euler_cromer_method
+    assert len(step.args) == 1 and not step.keywords
+    state = expected = run.initial
+    for _ in range(5):
+        state = step(scenario.dt, state)
+        expected = euler_cromer_method(run.equation, scenario.dt, expected)
         assert repr(state) == repr(expected)
 
 

@@ -161,11 +161,11 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
 def _quadrature(intervals: int, curve: Curve, record: Callable[..., Iterable[float]]) -> tuple[array, float]:
     """A curve's pieces as one flat float array, and the reach of their samples.
 
-    Per piece, in parameter order: ``record(sample, x, y, z, cx, cy, cz)``, the floats a kernel
-    reads of it, given its midpoint sample, that sample's coordinates and its chord; each point's
-    coordinates are read once. The reach, three times the farthest a chord end lies from its own
-    sample and at least 2**-340 m, covers every point within one chord length of a chord or a
-    sample: no chord is longer than twice that distance.
+    Per piece, in parameter order: ``record(sample, x, y, z, cx, cy, cz)``, the floats a kernel reads of it, given
+    its midpoint sample, that sample's coordinates and its chord. Each point is one curve call, 2n + 1 per build;
+    an interior chord end's coordinates are read twice, as one piece's end and the next one's start. The reach,
+    three times the farthest a chord end lies from its own sample and at least 2**-340 m, covers every point
+    within one chord length of a chord or a sample: no chord is longer than twice that distance.
     """
     pieces = array("d")
     extend = pieces.extend

@@ -19,8 +19,6 @@ from mechfield.fields import circular_loop, magnetic_field_of_line_current
 from mechfield.scenarios import SCENARIOS
 from mechfield.vectors import Position, format_row
 
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
-
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -468,12 +466,10 @@ def test_closed_stderr_keeps_the_error_text_off_stdout(capsys, monkeypatch, argv
     (("simulate", "sho", "--steps", "2"), 1, (EXIT_IO, b"", CLOSED_STDOUT_ERROR.encode())),
     (("simulate", "sho", "--dt", "2.5", "--steps", "2000"), 2, (EXIT_DOMAIN, b"", b"")),
 ], ids=["stdout", "stderr"])
-def test_closed_stream_of_a_real_process(argv, closed, expected):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+def test_closed_stream_of_a_real_process(child, argv, closed, expected):
     # the shell closes the descriptor before the interpreter starts, which then sets that stream to None
     command = ["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "mechfield", *argv]
-    proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+    proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child.env, timeout=child.timeout)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
@@ -482,16 +478,14 @@ PEAK_CHILD = ("import resource, sys; from mechfield.cli import main; code = main
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)")
 
 
-def test_stdout_peak_memory_is_near_that_of_out(tmp_path):
+def test_stdout_peak_memory_is_near_that_of_out(child, tmp_path):
     # 5.3 MB of CSV: held whole, it took 11-15 MiB more than --out; spooled, 2-3.5 MiB
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     argv = [sys.executable, "-c", PEAK_CHILD, "simulate", "spring-chain", "--steps", "600"]
     path = tmp_path / "x.csv"
-    children = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-                for command in (argv, [*argv, "--out", str(path)])]
-    (out, to_stdout), (_, to_out) = (child.communicate(timeout=120) for child in children)
-    assert [child.returncode for child in children] == [EXIT_OK, EXIT_OK]
+    procs = [subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child.env)
+             for command in (argv, [*argv, "--out", str(path)])]
+    (out, to_stdout), (_, to_out) = (proc.communicate(timeout=child.timeout) for proc in procs)
+    assert [proc.returncode for proc in procs] == [EXIT_OK, EXIT_OK]
     assert out == path.read_bytes()
     assert int(to_stdout) - int(to_out) < 5 * 1024
 
@@ -786,6 +780,19 @@ def test_field_of_a_strong_current_that_overflows_is_domain_error(capsys):
 ], ids=["overflow", "on-source"])
 def test_field_domain_error_names_the_point(capsys, argv, message):
     assert run_cli(capsys, "field", "e-line", *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("e-line --lambda 1e-300 --at 400,0,0", (EXIT_OK, "5.62499561e-296,0,1.30271215e-315\n", "")),
+    ("e-line --lambda 8 --at 0.3,0.2,0.5", (EXIT_OK, "1.56304392e+11,1.04202928e+11,1.31960236e+11\n", "")),
+    ("b-loop --radius 0.7 --intervals 3 --at 0.3,0.2,2.5", (EXIT_OK, "2.27986589e-09,1.67145163e-09,1.38050276e-08\n", "")),
+    ("b-loop --radius 1e-15 --at 1e-13,0,0", (EXIT_OK, "0,0,-314.194095\n", "")),
+    ("b-loop --radius 1e30 --at 1e30,0,1e14", (EXIT_DOMAIN, "", "error: field point on source at 1e+30,0,100000000000000\n")),
+    ("e-line --lambda 1e-300 --at 1e90,0,0", (EXIT_DOMAIN, "", "error: field point too far from the source at 1e+90,0,0\n")),
+], ids=["weak-e-line", "strong-e-line", "loop-in-3-pieces", "tiny-loop", "huge-loop-on-source", "weak-e-line-too-far"])
+def test_field_prints_what_the_readme_and_ci_document(capsys, argv, expected):
+    # the console-script steps of CI check the same text through the installed entry point
+    assert run_cli(capsys, "field", *argv.split()) == expected
 
 
 def only_point(command: str, point: tuple[float, float, float]) -> tuple[str, ...]:
@@ -1170,11 +1177,11 @@ def test_help_states_each_declared_default(capsys, monkeypatch, command):
 # --- module entry point -----------------------------------------------------------
 
 
-def test_python_dash_m_entry_point():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+@pytest.mark.parametrize("module", ["mechfield", "mechfield.cli"])
+def test_python_dash_m_entry_point(child, module):
+    # cli.py calls main under its __main__ guard: without it, `python -m mechfield.cli` would exit 0 and print nothing
     proc = subprocess.run(
-        [sys.executable, "-m", "mechfield", "simulate", "sho", "--steps", "0"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", module, "simulate", "sho", "--steps", "0"],
+        capture_output=True, text=True, env=child.env, timeout=child.timeout,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t,x,y,z,vx,vy,vz\n0,1,0,0,0,0,0\n", "")

@@ -376,51 +376,49 @@ def circulation(field, path_intervals: int, path) -> float:
     return line_integral(path_intervals, lambda p: field(p).dot(tangent(p)), curve)
 
 
-class TestPhysicsLaws:
-    """Ampère's law for B and zero circulation for E, each through ``line_integral``.
+# Ampère's law for B and zero circulation for E, each through ``line_integral``.
+#
+# A circle's chord is sin(x)/x of its arc, x = pi/n, and it is parallel to the tangent at its midpoint
+# sample. So over a circle both rules are the periodic midpoint rule, whose error is exponentially
+# small for a smooth integrand, times sin(x)/x, about 1 - x**2/6 = 1 - (2 pi/n)**2/24. The paths keep every
+# point at least half their radius, and at least three pieces of the source, from the wire. The
+# bounds are twice the leading terms, for what they leave out.
+@settings(max_examples=12)
+@given(radius=st.sampled_from([1e-7, 1.0, 3.7e5]), current=st.floats(0.1, 10.0), sign=st.sampled_from([1.0, -1.0]),
+       intervals=st.integers(160, 640), path_intervals=st.integers(64, 128), size=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4), offset=st.floats(0.0, 0.2),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_amperes_law_round_a_loop(radius, current, sign, intervals, path_intervals, size, angle, tilt,
+                                  offset, phase):
+    current *= sign
+    loop = circular_loop(radius)
+    field = magnetic_field_of_line_current(current, loop, intervals)
+    shortest = 12.0 * math.pi / intervals  # half of it is three pieces' length
+    rho = radius * (shortest + size * (0.25 - shortest))
+    along, across = Vec3(-math.sin(angle), math.cos(angle), 0.0), Vec3(math.cos(angle), math.sin(angle), 0.0)
+    path = circle_round(loop.func(angle), along, across, rho, tilt, offset * rho, phase)
+    mu0_i = 4.0 * math.pi * BIOT_SAVART_CONSTANT * current
+    bound = ((2.0 * math.pi / intervals) ** 2 + (2.0 * math.pi / path_intervals) ** 2) / 12.0
+    assert abs(circulation(field, path_intervals, path) - mu0_i) <= bound * abs(mu0_i)
 
-    A circle's chord is sin(x)/x of its arc, x = pi/n, and it is parallel to the tangent at its midpoint
-    sample. So over a circle both rules are the periodic midpoint rule, whose error is exponentially
-    small for a smooth integrand, times sin(x)/x, about 1 - x**2/6 = 1 - (2 pi/n)**2/24. The paths keep every
-    point at least half their radius, and at least three pieces of the source, from the wire. The
-    bounds are twice the leading terms, for what they leave out.
-    """
 
-    @settings(max_examples=12)
-    @given(radius=st.sampled_from([1e-7, 1.0, 3.7e5]), current=st.floats(0.1, 10.0), sign=st.sampled_from([1.0, -1.0]),
-           intervals=st.integers(160, 640), path_intervals=st.integers(64, 128), size=st.floats(0.0, 1.0),
-           angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4), offset=st.floats(0.0, 0.2),
-           phase=st.floats(0.0, 2.0 * math.pi))
-    def test_amperes_law_round_a_loop(self, radius, current, sign, intervals, path_intervals, size, angle, tilt,
-                                      offset, phase):
-        current *= sign
-        loop = circular_loop(radius)
-        field = magnetic_field_of_line_current(current, loop, intervals)
-        shortest = 12.0 * math.pi / intervals  # half of it is three pieces' length
-        rho = radius * (shortest + size * (0.25 - shortest))
-        along, across = Vec3(-math.sin(angle), math.cos(angle), 0.0), Vec3(math.cos(angle), math.sin(angle), 0.0)
-        path = circle_round(loop.func(angle), along, across, rho, tilt, offset * rho, phase)
-        mu0_i = 4.0 * math.pi * BIOT_SAVART_CONSTANT * current
-        bound = ((2.0 * math.pi / intervals) ** 2 + (2.0 * math.pi / path_intervals) ** 2) / 12.0
-        assert abs(circulation(field, path_intervals, path) - mu0_i) <= bound * abs(mu0_i)
-
-    @settings(max_examples=12)
-    @given(length=st.sampled_from([1e-7, 1.0, 3.7e5]), density=st.floats(1e-10, 1e-8), slope=st.floats(-0.9, 0.9),
-           intervals=st.integers(200, 400), path_intervals=st.integers(160, 256), size=st.floats(0.0, 1.0),
-           height=st.floats(-0.4, 0.4), angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4),
-           offset=st.floats(0.0, 0.2), phase=st.floats(0.0, 2.0 * math.pi))
-    def test_electric_circulation_round_a_segment_is_zero(self, length, density, slope, intervals, path_intervals,
-                                                          size, height, angle, tilt, offset, phase):
-        # E of point-like pieces is a gradient, so only rounding is left: each of the n + m sums and the few
-        # products of each term round once, and no term is larger than k max|density| L / (radius / 2)**2
-        field = electric_field_of_line_charge(lambda p: density * (1.0 + slope * p.z / length), line_segment(length),
-                                              intervals)
-        rho = length * (0.1 + 0.2 * size)
-        across = Vec3(math.cos(angle), math.sin(angle), 0.0)
-        path = circle_round(Position(0.0, 0.0, height * length), Z_HAT, across, rho, tilt, offset * rho, phase)
-        largest = COULOMB_CONSTANT * density * (1.0 + abs(slope) / 2.0) * length / (rho / 2.0) ** 2
-        bound = (intervals + path_intervals + 32) * 2.0**-53 * largest * 2.0 * math.pi * rho
-        assert abs(circulation(field, path_intervals, path)) <= bound
+@settings(max_examples=12)
+@given(length=st.sampled_from([1e-7, 1.0, 3.7e5]), density=st.floats(1e-10, 1e-8), slope=st.floats(-0.9, 0.9),
+       intervals=st.integers(200, 400), path_intervals=st.integers(160, 256), size=st.floats(0.0, 1.0),
+       height=st.floats(-0.4, 0.4), angle=st.floats(0.0, 2.0 * math.pi), tilt=st.floats(0.0, math.pi / 4),
+       offset=st.floats(0.0, 0.2), phase=st.floats(0.0, 2.0 * math.pi))
+def test_electric_circulation_round_a_segment_is_zero(length, density, slope, intervals, path_intervals,
+                                                      size, height, angle, tilt, offset, phase):
+    # E of point-like pieces is a gradient, so only rounding is left: each of the n + m sums and the few
+    # products of each term round once, and no term is larger than k max|density| L / (radius / 2)**2
+    field = electric_field_of_line_charge(lambda p: density * (1.0 + slope * p.z / length), line_segment(length),
+                                          intervals)
+    rho = length * (0.1 + 0.2 * size)
+    across = Vec3(math.cos(angle), math.sin(angle), 0.0)
+    path = circle_round(Position(0.0, 0.0, height * length), Z_HAT, across, rho, tilt, offset * rho, phase)
+    largest = COULOMB_CONSTANT * density * (1.0 + abs(slope) / 2.0) * length / (rho / 2.0) ** 2
+    bound = (intervals + path_intervals + 32) * 2.0**-53 * largest * 2.0 * math.pi * rho
+    assert abs(circulation(field, path_intervals, path)) <= bound
 
 
 class TestFarPoints:
@@ -462,77 +460,75 @@ class TestFarPoints:
         assert field(Position(3e102, 0.0, 0.0)).x == pytest.approx(COULOMB_CONSTANT / 9e204, rel=1e-9, abs=0)
 
 
-class TestFarRuleAtEveryStrength:
-    """A source's strength scaled by 2**k, k <= 0, scales its field by 2**k and nothing else.
+# A source's strength scaled by 2**k, k <= 0, scales its field by 2**k and nothing else.
+#
+# A strength below 4 and its 2**k multiple are scaled into the same range when the field is
+# built, so their sums are the same floats. A refusal stays the same refusal; an accepted field
+# stays accepted while 2**k times it has a normal component, and each component that was a normal
+# float becomes exactly 2**k times it, one rounding even where that falls below the normal range.
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["e-line", "b-loop"]), strength=st.floats(0.5, 4.0, exclude_max=True),
+       at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(0, 104), k=st.integers(-1020, 0))
+def test_a_weaker_source_gives_the_same_answer_times_its_scale(kind, strength, at, exponent, k):
+    point = Position(*(c * 10.0**exponent for c in at))
 
-    A strength below 4 and its 2**k multiple are scaled into the same range when the field is
-    built, so their sums are the same floats. A refusal stays the same refusal; an accepted field
-    stays accepted while 2**k times it has a normal component, and each component that was a normal
-    float becomes exactly 2**k times it, one rounding even where that falls below the normal range.
-    """
-
-    @settings(max_examples=200)
-    @given(kind=st.sampled_from(["e-line", "b-loop"]), strength=st.floats(0.5, 4.0, exclude_max=True),
-           at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(0, 104), k=st.integers(-1020, 0))
-    def test_a_weaker_source_gives_the_same_answer_times_its_scale(self, kind, strength, at, exponent, k):
-        point = Position(*(c * 10.0**exponent for c in at))
-
-        def outcome(s: float) -> Vec3 | str:
-            if kind == "e-line":
-                field = electric_field_of_line_charge(lambda p: s, line_segment(1.0), 16)
-            else:
-                field = magnetic_field_of_line_current(s, circular_loop(1.0), 16)
-            try:
-                return field(point)
-            except DomainError as error:
-                return str(error)
-
-        base, weak = outcome(strength), outcome(math.ldexp(strength, k))
-        if isinstance(base, str):
-            assert weak == base
-        elif max(abs(math.ldexp(c, k)) for c in base) < sys.float_info.min:
-            assert weak == f"field point too far from the source at {format_row((point.x, point.y, point.z))}"
+    def outcome(s: float) -> Vec3 | str:
+        if kind == "e-line":
+            field = electric_field_of_line_charge(lambda p: s, line_segment(1.0), 16)
         else:
-            kept = [i for i, b in enumerate(base) if abs(b) >= sys.float_info.min or b == 0.0]
-            assert isinstance(weak, Vec3) and [weak[i] for i in kept] == [math.ldexp(base[i], k) for i in kept]
+            field = magnetic_field_of_line_current(s, circular_loop(1.0), 16)
+        try:
+            return field(point)
+        except DomainError as error:
+            return str(error)
+
+    base, weak = outcome(strength), outcome(math.ldexp(strength, k))
+    if isinstance(base, str):
+        assert weak == base
+    elif max(abs(math.ldexp(c, k)) for c in base) < sys.float_info.min:
+        assert weak == f"field point too far from the source at {format_row((point.x, point.y, point.z))}"
+    else:
+        kept = [i for i, b in enumerate(base) if abs(b) >= sys.float_info.min or b == 0.0]
+        assert isinstance(weak, Vec3) and [weak[i] for i in kept] == [math.ldexp(base[i], k) for i in kept]
+
+
+# A current scaled by 2**k, k >= 1, scales its field by 2**k and nothing else.
+#
+# A current from 4 up and its 2**k multiple are scaled into the same range [4, 8) when the field
+# is built, so their sums are the same floats, and each is scaled back once. A refusal on or too
+# far from the source stays that refusal, unless it was a field with no normal component that 2**k
+# lifts; each component that was a normal float becomes exactly 2**k times it; and where 2**k
+# times such a component overflows, the field is refused as not finite.
+@settings(max_examples=200)
+@given(current=st.floats(4.0, 8.0, exclude_max=True), radius=st.sampled_from([1.0, 1e-7]),
+       at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(-8, 104), k=st.integers(1, 1020))
+@example(current=7.99, radius=1.0, at=(0.0, 0.0, 1.0), exponent=0, k=1020)  # the sum overflows, the field does not
+@example(current=7.99, radius=1e-7, at=(0.0, 0.0, 0.0), exponent=0, k=1020)  # the field overflows
+def test_a_stronger_current_gives_the_same_answer_times_its_scale(current, radius, at, exponent, k):
+    point = Position(*(c * 10.0**exponent for c in at))
+    where = format_row((point.x, point.y, point.z))
+
+    def outcome(i: float) -> Vec3 | str:
+        try:
+            return magnetic_field_of_line_current(i, circular_loop(radius), 16)(point)
+        except DomainError as error:
+            return str(error)
+
+    base, strong = outcome(current), outcome(math.ldexp(current, k))
+    lifted = math.ldexp(sys.float_info.min, k)  # 2**k times the normal range's floor
+    if isinstance(base, str):
+        assert strong == base or (base == f"field point too far from the source at {where}"
+                                  and isinstance(strong, Vec3) and max(map(abs, strong)) <= lifted)
+    elif any(math.isinf(abs(b) * 2.0**k) for b in base):
+        assert strong == f"field is not finite at {where}"
+    else:
+        assert isinstance(strong, Vec3)
+        for b, s in zip(base, strong):
+            assert s == math.ldexp(b, k) if abs(b) >= sys.float_info.min else abs(s) <= lifted
 
 
 class TestOverflowRuleAtEveryCurrent:
-    """A current scaled by 2**k, k >= 1, scales its field by 2**k and nothing else.
-
-    A current from 4 up and its 2**k multiple are scaled into the same range [4, 8) when the field
-    is built, so their sums are the same floats, and each is scaled back once. A refusal on or too
-    far from the source stays that refusal, unless it was a field with no normal component that 2**k
-    lifts; each component that was a normal float becomes exactly 2**k times it; and where 2**k
-    times such a component overflows, the field is refused as not finite.
-    """
-
-    @settings(max_examples=200)
-    @given(current=st.floats(4.0, 8.0, exclude_max=True), radius=st.sampled_from([1.0, 1e-7]),
-           at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), exponent=st.integers(-8, 104), k=st.integers(1, 1020))
-    @example(current=7.99, radius=1.0, at=(0.0, 0.0, 1.0), exponent=0, k=1020)  # the sum overflows, the field does not
-    @example(current=7.99, radius=1e-7, at=(0.0, 0.0, 0.0), exponent=0, k=1020)  # the field overflows
-    def test_a_stronger_current_gives_the_same_answer_times_its_scale(self, current, radius, at, exponent, k):
-        point = Position(*(c * 10.0**exponent for c in at))
-        where = format_row((point.x, point.y, point.z))
-
-        def outcome(i: float) -> Vec3 | str:
-            try:
-                return magnetic_field_of_line_current(i, circular_loop(radius), 16)(point)
-            except DomainError as error:
-                return str(error)
-
-        base, strong = outcome(current), outcome(math.ldexp(current, k))
-        lifted = math.ldexp(sys.float_info.min, k)  # 2**k times the normal range's floor
-        if isinstance(base, str):
-            assert strong == base or (base == f"field point too far from the source at {where}"
-                                      and isinstance(strong, Vec3) and max(map(abs, strong)) <= lifted)
-        elif any(math.isinf(abs(b) * 2.0**k) for b in base):
-            assert strong == f"field is not finite at {where}"
-        else:
-            assert isinstance(strong, Vec3)
-            for b, s in zip(base, strong):
-                assert s == math.ldexp(b, k) if abs(b) >= sys.float_info.min else abs(s) <= lifted
+    """A strong current's far field, scaled into [4, 8) and back, is rounded once."""
 
     def test_a_strong_currents_far_field_is_rounded_once(self):
         # 5 * 2**40 A seen from 5e102 m on the axis of a 16-chord unit loop: scaled into [4, 8), the sum
@@ -544,33 +540,30 @@ class TestOverflowRuleAtEveryCurrent:
         assert bz == pytest.approx(dipole, rel=1e-13, abs=0)
 
 
-class TestNearRuleAtEveryScale:
-    """A source and a point scaled together by 2**k get the same accept-or-refuse answer.
+# A source and a point scaled together by 2**k get the same accept-or-refuse answer.
+#
+# A unit source cut into at most 64 pieces reaches at least 2**-6 m, and no
+# point drawn here lies more than 6.2 m from it. So for k in [-330, 330] no
+# chord's square underflows, the reach's 2**-340 m floor does not bind, and
+# no term's cube overflows or leaves a unit strength's term subnormal.
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["e-line", "b-loop"]), intervals=st.integers(3, 64),
+       at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), k=st.integers(-330, 330))
+def test_accept_or_refuse_is_the_same_at_every_scale(kind, intervals, at, k):
+    def refused(scale: float) -> bool:
+        if kind == "e-line":
+            field = electric_field_of_line_charge(lambda p: 1.0, line_segment(scale), intervals)
+        else:
+            field = magnetic_field_of_line_current(1.0, circular_loop(scale), intervals)
+        try:
+            field(Position(*(c * scale for c in at)))
+        except DomainError as error:
+            if "on source" not in str(error):
+                raise
+            return True
+        return False
 
-    A unit source cut into at most 64 pieces reaches at least 2**-6 m, and no
-    point drawn here lies more than 6.2 m from it. So for k in [-330, 330] no
-    chord's square underflows, the reach's 2**-340 m floor does not bind, and
-    no term's cube overflows or leaves a unit strength's term subnormal.
-    """
-
-    @settings(max_examples=200)
-    @given(kind=st.sampled_from(["e-line", "b-loop"]), intervals=st.integers(3, 64),
-           at=st.tuples(*[st.floats(-3.0, 3.0)] * 3), k=st.integers(-330, 330))
-    def test_accept_or_refuse_is_the_same_at_every_scale(self, kind, intervals, at, k):
-        def refused(scale: float) -> bool:
-            if kind == "e-line":
-                field = electric_field_of_line_charge(lambda p: 1.0, line_segment(scale), intervals)
-            else:
-                field = magnetic_field_of_line_current(1.0, circular_loop(scale), intervals)
-            try:
-                field(Position(*(c * scale for c in at)))
-            except DomainError as error:
-                if "on source" not in str(error):
-                    raise
-                return True
-            return False
-
-        assert refused(1.0) == refused(2.0**k)
+    assert refused(1.0) == refused(2.0**k)
 
 
 # --- build once, evaluate many -------------------------------------------------

@@ -1,7 +1,6 @@
 """The package's public names, each layer's ``__all__`` listed once, and its start-up imports."""
 
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -28,10 +27,9 @@ def test_every_public_name_resolves_to_its_layers_object():
             assert getattr(mechfield, name) is getattr(layer, name)
 
 
-def test_startup_and_smallest_runs_import_neither_dataclasses_nor_inspect():
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(tests / "startup_modules.py")], capture_output=True, text=True, env=env)
+def test_startup_and_smallest_runs_import_neither_dataclasses_nor_inspect(child):
+    script = Path(__file__).resolve().parent / "startup_modules.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=child.env, timeout=child.timeout)
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert "mechfield.cli" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)

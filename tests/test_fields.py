@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import random
+import struct
 import sys
 import tracemalloc
 from array import array
@@ -769,7 +770,7 @@ class TestBuildPass:
                 return str(error)
             return pieces.tobytes(), repr(reach)  # bytes: NaNs compare, and -0.0 differs from 0.0
 
-        got = outcome(lambda: _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: (s.x, s.y, s.z, x, y, z, cx, cy, cz)))
+        got = outcome(lambda: _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: struct.pack("9d", s.x, s.y, s.z, x, y, z, cx, cy, cz)))
         want = outcome(lambda: max_quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z) * 2 + (cx, cy, cz)))
         assert got == want
 
@@ -806,3 +807,8 @@ class TestBuildPass:
         field = electric_field_of_line_charge(density, line_segment(1.0), 100)
         with pytest.raises(DomainError, match=r"^field is not finite at 1,0,0$"):
             field(Position(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("value", [None, "1.0"], ids=["none", "str"])
+    def test_a_density_that_is_not_a_real_number_is_refused_at_build(self, value):
+        with pytest.raises(TypeError, match=r"^density must return a real number within the float range$"):
+            electric_field_of_line_charge(lambda p: value, line_segment(1.0), 10)

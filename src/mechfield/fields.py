@@ -158,33 +158,40 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
     return sum((field(s).cross(displacement(a, b)) for a, s, b in _pieces(intervals, curve)), ZERO)
 
 
-def _quadrature(intervals: int, curve: Curve, record: Callable[..., bytes]) -> tuple[array, float]:
+def _quadrature(intervals: int, curve: Curve, layout: str, record: Callable[..., bytes]) -> tuple[array, float]:
     """A curve's pieces as one flat float array, and the reach of their samples.
 
-    Per piece, in parameter order: ``record(sample, x, y, z, cx, cy, cz)``, the floats a kernel reads of it packed as
-    native doubles, given its midpoint sample, that sample's coordinates and its chord, appended with one ``frombytes``:
-    no float passes through the array's per-item setter. Each point is one curve call, 2n + 1 per build;
-    an interior chord end's coordinates are read twice, as one piece's end and the next one's start. The reach,
-    three times the farthest a chord end lies from its own sample and at least 2**-340 m, covers every point
-    within one chord length of a chord or a sample: no chord is longer than twice that distance.
+    Per piece, in parameter order: ``record(pack, sample, x, y, z, cx, cy, cz)`` packs the floats a kernel reads of
+    its midpoint sample, that sample's coordinates and its chord with ``pack``, ``Struct(layout).pack``, and one
+    ``frombytes`` appends them: no float passes through the array's per-item setter. A curve point or density that is
+    not a real number within the float range will not pack; it raises the one ``TypeError`` of either source's build.
+    Each point is one curve call, 2n + 1 per build; an interior chord end's coordinates are read twice, as one piece's
+    end and the next one's start. The reach, three times the farthest a chord end lies from its own sample and at least
+    2**-340 m, covers every point within one chord length of a chord or a sample: no chord is longer than twice that.
     """
+    from struct import Struct, error  # here, not at the top: without site, a run that builds no field does not load it
+
+    pack = Struct(layout).pack
     pieces = array("d")
     store = pieces.frombytes
     farthest = 0.0  # squared, from a sample to the farther end of its chord; a NaN distance never replaces it
-    for start, sample, end in _pieces(intervals, curve):
-        # by threes: CPython assigns up to three names without building a tuple
-        x, y, z = sample.x, sample.y, sample.z
-        a, b, c = start.x, start.y, start.z
-        d, f, g = end.x, end.y, end.z
-        store(record(sample, x, y, z, d - a, f - b, g - c))
-        ux, uy, uz = x - a, y - b, z - c
-        u = ux * ux + uy * uy + uz * uz
-        if u > farthest:
-            farthest = u
-        ux, uy, uz = x - d, y - f, z - g
-        u = ux * ux + uy * uy + uz * uz
-        if u > farthest:
-            farthest = u
+    try:  # around the loop, not in it: the hot loop gains no work
+        for start, sample, end in _pieces(intervals, curve):
+            # by threes: CPython assigns up to three names without building a tuple
+            x, y, z = sample.x, sample.y, sample.z
+            a, b, c = start.x, start.y, start.z
+            d, f, g = end.x, end.y, end.z
+            store(record(pack, sample, x, y, z, d - a, f - b, g - c))
+            ux, uy, uz = x - a, y - b, z - c
+            u = ux * ux + uy * uy + uz * uz
+            if u > farthest:
+                farthest = u
+            ux, uy, uz = x - d, y - f, z - g
+            u = ux * ux + uy * uy + uz * uz
+            if u > farthest:
+                farthest = u
+    except error:  # struct.error is no TypeError, which is what a number that is not real raises elsewhere
+        raise TypeError("curve points and densities must be real numbers within the float range") from None
     # a bare root: the floor hides its underflow, and where it overflows every point is refused either way
     return pieces, max(3.0 * math.sqrt(farthest), _NEAREST)
 
@@ -227,17 +234,11 @@ def electric_field_of_line_charge(
     that a cubed distance overflows (beyond about 5.6e102 m, whatever the
     strength), or where the field overflows or, for a charged source, has
     no normal component, raises :class:`DomainError` naming the point, not garbage.
-    The build records ``(x, y, z, density, chord length)`` per piece, then scales every density in place by 2**-e;
-    a density that is not a real number within the float range raises ``TypeError``.
+    Its build record, ``record(pack, s, x, y, z, cx, cy, cz)``, packs ``(x, y, z, density(s), chord length)`` as
+    ``"5d"``, then each density is scaled in place by 2**-e; a point or density that will not pack raises ``TypeError``.
     """
-    from struct import Struct, error  # here, not at the top: a run that builds no field does not load it
-
-    pack = Struct("5d").pack
-    try:
-        pieces, reach = _quadrature(
-            intervals, curve, lambda s, x, y, z, cx, cy, cz: pack(x, y, z, density(s), _length(cx, cy, cz)))
-    except error:  # an array refuses it as TypeError or OverflowError, Struct as struct.error; caught out of the loop
-        raise TypeError("density must return a real number within the float range") from None
+    pieces, reach = _quadrature(
+        intervals, curve, "5d", lambda pack, s, x, y, z, cx, cy, cz: pack(x, y, z, density(s), _length(cx, cy, cz)))
     # densities by 2**-e, so that over every finite cube the densest term is a normal float; in place, and a
     # block at a time, so that the build's peak holds one block, not a second column
     with memoryview(pieces)[3::5] as densities:
@@ -279,12 +280,10 @@ def magnetic_field_of_line_current(
     down as well as up, and each evaluation scales its sum back once, so the field is exactly linear in the current.
     Evaluating nearer a sample than the reach, so far that a cubed distance overflows (beyond about 5.6e102 m, whatever
     the strength), or where the field itself overflows or, for a current that is not 0, has no normal component,
-    raises :class:`DomainError` naming the point.
+    raises :class:`DomainError` naming the point. Its build record, ``record(pack, s, x, y, z, cx, cy, cz)``, packs
+    ``(x, y, z, cx, cy, cz)`` as ``"6d"``; a curve point that will not pack raises :func:`_quadrature`'s ``TypeError``.
     """
-    from struct import Struct  # here, not at the top: a run that builds no field does not load it
-
-    pack = Struct("6d").pack
-    pieces, reach = _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: pack(x, y, z, cx, cy, cz))
+    pieces, reach = _quadrature(intervals, curve, "6d", lambda pack, s, x, y, z, cx, cy, cz: pack(x, y, z, cx, cy, cz))
     e = math.frexp(current)[1] - 3  # the current into [4, 8) by 2**-e, up or down: it has no weaker company to lose
     current = math.ldexp(current, -e)
 

@@ -4,7 +4,6 @@ import functools
 import gc
 import math
 import random
-import struct
 import sys
 import tracemalloc
 from array import array
@@ -446,6 +445,12 @@ class TestFarPoints:
             field(Position(0.0, 0.0, 1e103))
         assert field(Position(0.0, 0.0, 1e100)).z == pytest.approx(loop_field_on_axis(1.0, 1.0, 1e100), rel=1e-3, abs=0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: far from a closed loop, B's x and y are the round-off of "
+                       "its chords' sum; at 1e16 radii x is about 0.2 of |B| and y about 0.9")
+    def test_magnetic_field_far_on_the_axis_of_a_loop_is_along_the_axis(self):
+        b = magnetic_field_of_line_current(1.0, circular_loop(1.0))(Position(0.0, 0.0, 1e16))
+        assert max(abs(b.x), abs(b.y)) < 1e-9 * b.magnitude()
+
     def test_a_steep_density_is_evaluated_near_the_source(self):
         # samples out at |z| = 0.27 m have subnormal densities; their terms are negligible, not "too far"
         field = electric_field_of_line_charge(lambda p: math.exp(-(p.z / 0.01) ** 2), line_segment(1.0))
@@ -756,6 +761,10 @@ def spoiled_curve() -> Curve:
     return Curve(func, 0.0, 3.0)
 
 
+# The one refusal of a piece that will not pack, whichever source is built.
+NOT_REAL = r"^curve points and densities must be real numbers within the float range$"
+
+
 class TestBuildPass:
     @pytest.mark.parametrize("intervals", [1, 2, 3, 7, 64, 1000])
     @pytest.mark.parametrize("name", ["helix", "segment", "loop", "spoiled"])
@@ -770,7 +779,7 @@ class TestBuildPass:
                 return str(error)
             return pieces.tobytes(), repr(reach)  # bytes: NaNs compare, and -0.0 differs from 0.0
 
-        got = outcome(lambda: _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: struct.pack("9d", s.x, s.y, s.z, x, y, z, cx, cy, cz)))
+        got = outcome(lambda: _quadrature(intervals, curve, "9d", lambda pack, s, x, y, z, cx, cy, cz: pack(s.x, s.y, s.z, x, y, z, cx, cy, cz)))
         want = outcome(lambda: max_quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z) * 2 + (cx, cy, cz)))
         assert got == want
 
@@ -808,7 +817,14 @@ class TestBuildPass:
         with pytest.raises(DomainError, match=r"^field is not finite at 1,0,0$"):
             field(Position(1.0, 0.0, 0.0))
 
-    @pytest.mark.parametrize("value", [None, "1.0"], ids=["none", "str"])
+    @pytest.mark.parametrize("value", [None, "1.0", 10**400], ids=["none", "str", "int-past-float-range"])
     def test_a_density_that_is_not_a_real_number_is_refused_at_build(self, value):
-        with pytest.raises(TypeError, match=r"^density must return a real number within the float range$"):
+        with pytest.raises(TypeError, match=NOT_REAL):
             electric_field_of_line_charge(lambda p: value, line_segment(1.0), 10)
+
+    def test_a_curve_point_that_is_not_a_real_number_is_refused_at_build(self):
+        curve = Curve(lambda t: Position(complex(t), 0.0, t), 0.0, 1.0)
+        with pytest.raises(TypeError, match=NOT_REAL):
+            magnetic_field_of_line_current(1.0, curve, 10)
+        with pytest.raises(TypeError):  # E takes its chord's length first, and that refuses a complex number
+            electric_field_of_line_charge(lambda p: 1.0, curve, 10)

@@ -36,6 +36,20 @@ def test_startup_and_smallest_runs_import_neither_dataclasses_nor_inspect(child)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_struct_is_loaded_by_a_field_build_and_not_before(child, tmp_path):
+    # -S: without site, which may import struct itself, only mechfield's own imports count
+    script = (
+        "import sys\n"
+        "from mechfield.cli import main\n"
+        f"codes = [main(['simulate', 'sho', '--steps', '0', '--out', {str(tmp_path / 'sho.csv')!r}])]\n"
+        "before = 'struct' in sys.modules\n"
+        "codes.append(main(['field', 'b-loop', '--at', '0,0,1']))\n"
+        "print(codes, before, 'struct' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=child.env, timeout=child.timeout)
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, "[0, 0] False True", "")
+
+
 def test_readme_python_blocks_run(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     quick_start, integrator = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)

@@ -8,11 +8,12 @@ Scenarios and field source kinds declare each parameter once, with its
 default and help. One helper makes a flag of each, its help ending in the
 default, and one resolver overlays the flags given on the defaults.
 ``simulate`` steps the scenario's differential equation with any one of
-``METHODS``. Each command returns its lines of text to one all-or-nothing
-writer, which opens the output before it asks for the first line, and
-identical invocations give byte-identical output. It streams to every
-destination: a regular file through a sibling renamed onto it, stdout or
-a device through a spool that moves from memory to a temporary file past
+``METHODS``. Each command returns its text blocks, whole lines each (the
+rows of about ``BLOCK_VALUES`` numbers), to one all-or-nothing writer,
+which opens the output before it asks for the first block, and identical
+invocations give byte-identical output. It streams to
+every destination: a regular file through a sibling renamed onto it, stdout
+or a device through a spool that moves from memory to a temporary file past
 its first MiB. Commands raise, and :func:`main` maps the error to the exit
 code: 2 for usage errors (``ValueError``, or ``OverflowError`` from an int
 flag beyond the float range), 3 for domain errors (``DomainError``, which
@@ -55,7 +56,7 @@ from .solver import (
     rk4_method,
     solution_stream,
 )
-from .vectors import Position, format_row
+from .vectors import Position, _format_rows, format_row
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,6 +65,9 @@ EXIT_IO = 4
 
 # Characters of CSV text a run to stdout or a device holds in memory before its spool moves to a file.
 SPOOL_MEMORY = 1 << 20
+
+# Numbers per block of CSV rows that are formatted and written at once; a block holds at least one row.
+BLOCK_VALUES = 1 << 10
 
 METHODS = {"euler": euler_method, "euler-cromer": euler_cromer_method, "rk4": rk4_method}
 
@@ -162,13 +166,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_lines(out: str | None, make: Callable[[], Iterable[str]]) -> None:
-    """Open the file ``out``, or stdout when it is None, then write the lines ``make()`` returns, all or nothing.
+    """Open the file ``out``, or stdout when it is None, then write the text ``make()`` returns, all or nothing.
 
     ``make`` runs only once the output is open, so a refused output makes
-    nothing. A regular file, new or existing, gets a sibling renamed onto
-    it, with its old permissions, after the last line. Stdout, and anything
-    else at ``out`` such as a device or a pipe, gets the text of a spool
-    after the last line.
+    nothing. Its text comes in blocks of whole lines, each ending in its
+    newline, written as they come. A regular file, new or existing, gets a
+    sibling renamed onto it, with its old permissions, after the last
+    block. Stdout, and anything else at ``out`` such as a device or a pipe,
+    gets the text of a spool after the last block.
     """
     if out == "":
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
@@ -186,8 +191,7 @@ def _write_lines(out: str | None, make: Callable[[], Iterable[str]]) -> None:
         with open(partial, "w", encoding="utf-8", newline="") as handle:
             if existing:
                 os.chmod(partial, stat.S_IMODE(os.stat(out).st_mode))
-            for line in make():
-                handle.write(line + "\n")
+            handle.writelines(make())
         os.replace(partial, out)
     except OSError as exc:  # name the user's path, not the sibling
         raise OSError(exc.errno, exc.strerror, out) from None
@@ -196,25 +200,25 @@ def _write_lines(out: str | None, make: Callable[[], Iterable[str]]) -> None:
             os.remove(partial)
 
 
-def _spool_to(handle: IO[str], lines: Iterator[str]) -> None:
-    """Write every line to ``handle`` only after the last is made, holding at most SPOOL_MEMORY characters in memory.
+def _spool_to(handle: IO[str], blocks: Iterator[str]) -> None:
+    """Write every block of text to ``handle`` only after the last is made, holding little more than SPOOL_MEMORY.
 
-    The lines gather in a StringIO, its size checked after each one; past
-    SPOOL_MEMORY they move to an unnamed temporary file, so a short run
-    makes no file and imports no ``tempfile``.
+    The blocks gather in a StringIO, its size checked after each block, so
+    it goes past SPOOL_MEMORY characters by at most one block; there they
+    move to an unnamed temporary file, so a short run makes no file and
+    imports no ``tempfile``.
     """
     spool: IO[str] = io.StringIO()
     try:
-        for line in lines:
-            spool.write(line + "\n")
+        for block in blocks:
+            spool.write(block)
             if spool.tell() > SPOOL_MEMORY:
                 import tempfile
 
                 memory, spool = spool, tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
                 spool.write(memory.getvalue())
                 memory.close()
-                for line in lines:  # the rest, straight to the file
-                    spool.write(line + "\n")
+                spool.writelines(blocks)  # the rest, straight to the file
         spool.seek(0)
         while block := spool.read(1 << 16):
             handle.write(block)
@@ -232,6 +236,12 @@ def _resolve(label: str, owners: Mapping[str, Scenario | _FieldSource], name: st
     return {key: param.default if given[key] is None else given[key] for key, param in owners[name].params.items()}
 
 
+def _blocks(rows: Iterator[Sequence[float]]) -> Iterator[str]:
+    """The text of ``rows``, a block of about BLOCK_VALUES numbers at a time, each taken from the stream when it is due."""
+    for first in rows:
+        yield _format_rows([first, *islice(rows, max(BLOCK_VALUES // len(first), 1) - 1)])
+
+
 def _cmd_simulate(args: argparse.Namespace) -> Iterable[str]:
     scenario = SCENARIOS[args.scenario]
     dt = scenario.dt if args.dt is None else args.dt
@@ -244,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Iterable[str]:
         raise ValueError(f"--steps must be at most {sys.maxsize - 1}")
     run = scenario.build(_resolve("scenario", SCENARIOS, args.scenario, args))
     states = solution_stream(METHODS[args.method], dt, run.equation, run.initial)
-    return chain((run.header,), map(format_row, map(run.row, islice(states, steps + 1))))
+    return chain((run.header + "\n",), _blocks(map(run.row, islice(states, steps + 1))))
 
 
 def _make_field(args: argparse.Namespace) -> VectorField:
@@ -252,7 +262,7 @@ def _make_field(args: argparse.Namespace) -> VectorField:
 
 
 def _cmd_field(args: argparse.Namespace) -> Iterable[str]:
-    return [",".join(f"{component:.9g}" for component in _make_field(args)(args.at))]
+    return [",".join(f"{component:.9g}" for component in _make_field(args)(args.at)) + "\n"]
 
 
 def _cmd_field_grid(args: argparse.Namespace) -> Iterable[str]:
@@ -267,7 +277,7 @@ def _cmd_field_grid(args: argparse.Namespace) -> Iterable[str]:
         axes.append(values)
     field = _make_field(args)
     # product varies its last axis fastest: one row (x, y, z, Fx, Fy, Fz) per point, z fastest
-    return chain(("x,y,z,Fx,Fy,Fz",), (format_row((*point, *field(Position(*point)))) for point in product(*axes)))
+    return chain(("x,y,z,Fx,Fy,Fz\n",), _blocks((*point, *field(Position(*point))) for point in product(*axes)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

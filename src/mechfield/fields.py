@@ -164,7 +164,8 @@ def _quadrature(intervals: int, curve: Curve, layout: str, record: Callable[...,
     Per piece, in parameter order: ``record(pack, sample, x, y, z, cx, cy, cz)`` packs the floats a kernel reads of
     its midpoint sample, that sample's coordinates and its chord with ``pack``, ``Struct(layout).pack``, and one
     ``frombytes`` appends them: no float passes through the array's per-item setter. A curve point or density that is
-    not a real number within the float range will not pack; it raises the one ``TypeError`` of either source's build.
+    not a real number within the float range will not pack; it raises the one ``TypeError`` of either source's build,
+    also where the record's own arithmetic refuses such a point first. Any other ``TypeError`` passes unchanged.
     Each point is one curve call, 2n + 1 per build; an interior chord end's coordinates are read twice, as one piece's
     end and the next one's start. The reach, three times the farthest a chord end lies from its own sample and at least
     2**-340 m, covers every point within one chord length of a chord or a sample: no chord is longer than twice that.
@@ -175,13 +176,17 @@ def _quadrature(intervals: int, curve: Curve, layout: str, record: Callable[...,
     pieces = array("d")
     store = pieces.frombytes
     farthest = 0.0  # squared, from a sample to the farther end of its chord; a NaN distance never replaces it
-    try:  # around the loop, not in it: the hot loop gains no work
+    try:  # a struct.error anywhere in the loop is the one TypeError below
         for start, sample, end in _pieces(intervals, curve):
             # by threes: CPython assigns up to three names without building a tuple
             x, y, z = sample.x, sample.y, sample.z
             a, b, c = start.x, start.y, start.z
             d, f, g = end.x, end.y, end.z
-            store(record(pack, sample, x, y, z, d - a, f - b, g - c))
+            try:  # from CPython 3.11 a try costs nothing until something is raised
+                store(record(pack, sample, x, y, z, d - a, f - b, g - c))
+            except TypeError:  # E's chord length compares a complex chord before its record packs
+                Struct("6d").pack(x, y, z, d - a, f - b, g - c)  # points that will not pack raise error: the curve's fault
+                raise  # else the record's own, such as a TypeError raised inside a user's density
             ux, uy, uz = x - a, y - b, z - c
             u = ux * ux + uy * uy + uz * uz
             if u > farthest:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .mechanics import (
@@ -97,13 +98,10 @@ def _system_header(count: int) -> str:
 
 
 def _system_row(state: State) -> tuple[float, ...]:
-    """Regroup (t, q..., v...) as t, then each particle's x, y, z, vx, vy, vz."""
+    """Regroup (t, q..., v...) as t, then each particle's x, y, z, vx, vy, vz: six strided slices zipped."""
     n = len(state) // 2
-    values = [state[0]]
-    for i in range(1, n + 1, 3):
-        values += state[i:i + 3]
-        values += state[n + i:n + i + 3]
-    return tuple(values)
+    return (state[0], *chain.from_iterable(
+        zip(state[1:n + 1:3], state[2:n + 1:3], state[3:n + 1:3], state[n + 1::3], state[n + 2::3], state[n + 3::3])))
 
 
 def _build_ddho(params: Mapping[str, float]) -> ScenarioRun:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -171,9 +172,18 @@ def displacement(start: Position, end: Position) -> Vec3:
 def format_row(values: Iterable[float]) -> str:
     """The values joined by commas, each the shortest decimal that parses back to the same double.
 
-    Integral values drop the trailing ``.0``, in one pass over the joined
-    text, so CSV output reads ``0,1,0`` rather than ``0.0,1.0,0.0``.
-    Floats only: the repr of an int or a numpy scalar differs.
+    Integral values drop the trailing ``.0``, so CSV output reads ``0,1,0``
+    rather than ``0.0,1.0,0.0``. Floats only: the repr of an int or a numpy
+    scalar differs. It is the one line of :func:`_format_rows`, less its newline.
     """
-    return (",".join(map(repr, values)) + ",").replace(".0,", ",")[:-1]
+    return _format_rows((values,))[:-1]
 
+
+def _format_rows(rows: Iterable[Iterable[float]]) -> str:
+    """A block of rows as text: each row's :func:`format_row` line, ended by ``"\n"``.
+
+    The ``.0`` rule runs once over the whole block, as two ``replace`` passes,
+    one for a value before a comma and one for a value at a line's end. No
+    match spans a newline, so the block reads as its rows' lines one at a time.
+    """
+    return ("\n".join(map(",".join, map(map, repeat(repr), rows))) + "\n").replace(".0,", ",").replace(".0\n", "\n")

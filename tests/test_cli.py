@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from mechfield import cli
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from mechfield.fields import circular_loop, magnetic_field_of_line_current
 from mechfield.scenarios import SCENARIOS
+from mechfield.solver import solution_stream
 from mechfield.vectors import Position, format_row
 
 
@@ -415,6 +417,73 @@ def test_run_failing_past_the_spool_memory_prints_nothing(capsys, monkeypatch):
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "not finite at step 133" in err
     assert len(spools) == 1 and spools[0].closed
+
+
+# --- text blocks: rows formatted and written a block at a time --------------------
+
+
+def rows_of(name: str, count: int) -> tuple[str, list]:
+    """The header and first ``count`` rows of a default simulation, or of ``GRID_ARGV``'s grid, from the library."""
+    if name == "field-grid":
+        field = magnetic_field_of_line_current(1.0, circular_loop(1.0), 20)
+        return "x,y,z,Fx,Fy,Fz", [(x, 0.0, 2.0, *field(Position(x, 0.0, 2.0))) for x in map(float, range(count))]
+    scenario = SCENARIOS[name]
+    run = scenario.build(scenario.defaults)
+    states = solution_stream(cli.METHODS["euler-cromer"], scenario.dt, run.equation, run.initial)
+    return run.header, [run.row(state) for state in islice(states, count)]
+
+
+def argv_of(name: str, count: int) -> list[str]:
+    """The CLI run whose output has ``count`` rows, those of :func:`rows_of`."""
+    if name == "field-grid":  # x = 0, 1, ..., count - 1 exactly, each 2 m above the loop's plane
+        return ["field-grid", "b-loop", "--intervals", "20", "--x-max", str(count - 1), "--x-count", str(count),
+                "--z-min", "2", "--z-max", "2"]
+    return ["simulate", name, "--steps", str(count - 1)]
+
+
+ROW_WIDTHS = {"sho": 7, "spring-chain": 601, "field-grid": 6}  # numbers per row; a spring chain of 100 particles
+
+
+@pytest.mark.parametrize("block_values", [cli.BLOCK_VALUES, 1803], ids=["default-blocks", "three-chain-rows"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["one-below", "equal", "one-above"])
+@pytest.mark.parametrize("name", sorted(ROW_WIDTHS))
+def test_rows_around_a_block_boundary_give_the_row_at_a_time_text(tmp_path, capsys, monkeypatch, name, offset,
+                                                                   block_values):
+    monkeypatch.setattr(cli, "BLOCK_VALUES", block_values)
+    count = 2 * max(block_values // ROW_WIDTHS[name], 1) + offset  # the second block ends short, full, or one over
+    header, rows = rows_of(name, count)
+    expected = header + "\n" + "".join(format_row(row) + "\n" for row in rows)
+    assert len(rows) == count and {len(row) for row in rows} == {ROW_WIDTHS[name]}
+    path = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv_of(name, count), "--out", str(path)) == (EXIT_OK, "", "")
+    assert path.read_bytes() == expected.encode()
+    assert run_cli(capsys, *argv_of(name, count)) == (EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize("name", ["sho", "spring-chain"])
+def test_zero_steps_give_the_row_at_a_time_text(capsys, name):
+    header, rows = rows_of(name, 1)
+    assert run_cli(capsys, "simulate", name, "--steps", "0") == (EXIT_OK, f"{header}\n{format_row(rows[0])}\n", "")
+
+
+@pytest.mark.parametrize("block_values", [cli.BLOCK_VALUES, 70], ids=["default-blocks", "ten-rows"])
+def test_refusal_after_whole_blocks_leaves_existing_out_as_it_was(tmp_path, capsys, monkeypatch, block_values):
+    formatted, format_rows = [], cli._format_rows
+    monkeypatch.setattr(cli, "BLOCK_VALUES", block_values)
+    monkeypatch.setattr(cli, "_format_rows", lambda rows: formatted.append(len(rows)) or format_rows(rows))
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"earlier bytes\n")
+    path.chmod(0o640)
+    # explicit Euler at dt = 10 s overflows at step 308, after 308 rows of 7 numbers
+    code, out, err = run_cli(capsys, "simulate", "sho", "--method", "euler", "--dt", "10", "--steps", "400",
+                             "--out", str(path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error: state is not finite at step 308, t = 3080")
+    per_block = block_values // 7
+    assert formatted == [per_block] * (308 // per_block)  # every whole block before the refusal, and no short one
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
 
 
 # --- closed standard streams ------------------------------------------------------

@@ -6,7 +6,8 @@ unwritable ``--out`` paths mixed in, and every run must end with exit 0,
 2, 3 or 4 and never raise. The runs are kept small (few steps, grid points
 and quadrature intervals); how examples are drawn, stored and reported is
 the suite's one policy in ``conftest.py``. The CSV row formatter must write
-any finite floats as it writes each one alone, each set within 200 ms.
+any finite floats as it writes each one alone, each set within 200 ms, and
+a block of rows as each row's line in turn.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from mechfield.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, METHODS, main
 from mechfield.scenarios import SCENARIOS
-from mechfield.vectors import format_row
+from mechfield.vectors import _format_rows, format_row
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_IO}
 
@@ -98,3 +99,17 @@ def test_field_grid_ends_with_a_documented_exit_code(kind, out_kind, data):
 @given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
 def test_csv_row_writes_each_value_as_format_row_of_one_value(row):
     assert format_row(row) == ",".join(format_row((value,)) for value in row)
+
+
+# Values whose text the .0 rule touches or must leave alone, at a line's end as well as inside it
+EDGE_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 123456789012345.0, 1.0, -2.0, 10.0, 0.5])
+row_value = st.one_of(EDGE_VALUES, st.integers(-10**17, 10**17).map(float), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(row_value, max_size=12), min_size=1, max_size=20))
+def test_block_text_is_each_rows_format_row_line(rows):
+    assert _format_rows(rows) == "".join(format_row(row) + "\n" for row in rows)
+    # format_row is defined through _format_rows, so its text is checked against the rule itself
+    assert [format_row(row) for row in rows] == [",".join(text[:-2] if text.endswith(".0") else text
+                                                          for text in map(repr, row)) for row in rows]

@@ -826,5 +826,21 @@ class TestBuildPass:
         curve = Curve(lambda t: Position(complex(t), 0.0, t), 0.0, 1.0)
         with pytest.raises(TypeError, match=NOT_REAL):
             magnetic_field_of_line_current(1.0, curve, 10)
-        with pytest.raises(TypeError):  # E takes its chord's length first, and that refuses a complex number
+        with pytest.raises(TypeError, match=NOT_REAL):  # E's chord length compares the complex chord before it packs
             electric_field_of_line_charge(lambda p: 1.0, curve, 10)
+
+    @pytest.mark.parametrize("build", [lambda curve: electric_field_of_line_charge(lambda p: 1.0, curve, 10),
+                                       lambda curve: magnetic_field_of_line_current(1.0, curve, 10)],
+                             ids=["e-line", "b-loop"])
+    def test_a_chord_end_that_is_not_a_real_number_is_refused_at_build(self, build):
+        # only the first point is complex: every sample is real, and so are the coordinates of every other chord end
+        curve = Curve(lambda t: Position(0.0, 0.0, complex(t) if t == 0.0 else t), 0.0, 1.0)
+        with pytest.raises(TypeError, match=NOT_REAL):
+            build(curve)
+
+    def test_a_type_error_raised_inside_a_density_is_the_densitys_own(self):
+        def density(p):
+            raise TypeError("the density's own")
+
+        with pytest.raises(TypeError, match=r"^the density's own$"):
+            electric_field_of_line_charge(density, line_segment(1.0), 10)

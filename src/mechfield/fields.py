@@ -14,10 +14,13 @@ the crossed variant and the B field). No tangent vectors are required of the
 caller, and the scheme is second order: halving the interval width cuts the
 error about four-fold for smooth integrands. A closed curve is cut shut at
 every n: its last chord ends at its first point, so its chords telescope.
-A field builder cuts its curve once, when the field is built, and keeps
-per piece only what its kernel reads: E the sample, its density and its
-chord's length, B the sample and its chord. A point within about a piece
-and a half of a sample, at any scale, counts as on the source.
+One loop, ``_quadrature``, makes that cut for all four: it hands each
+piece to a record and the record's result to a store, a list of terms or
+a field's float array, and refuses a point that is not a real number with
+one ``TypeError``. A field builder cuts its curve once, when the field is
+built, and keeps per piece only what its kernel reads: E the sample, its
+density and its chord's length, B the sample and its chord. A point within
+the reach, about a piece and a half of a sample at any scale, is on the source.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import operator
 from array import array
 from functools import reduce
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import DomainError
-from .vectors import _TINY, Position, Vec3, ZERO, _length, _upscale, displacement, format_row
+from .vectors import _TINY, Position, Vec3, ZERO, _length, _upscale, format_row
 
 __all__ = [
     "COULOMB_CONSTANT",
@@ -59,6 +62,7 @@ ScalarField = Callable[[Position], float]
 VectorField = Callable[[Position], Vec3]
 
 V = TypeVar("V", float, Vec3)
+T = TypeVar("T")
 
 
 class _CurveFields(NamedTuple):
@@ -110,40 +114,15 @@ def line_segment(length: float) -> Curve:
     return Curve(lambda t: Position(0.0, 0.0, t), -length / 2.0, length / 2.0)
 
 
-def _pieces(intervals: int, curve: Curve) -> Iterator[tuple[Position, Position, Position]]:
-    """Cut a curve into equal parameter pieces: each one's chord start, midpoint sample and chord end.
-
-    A closed curve, whose end comes back to its start, is cut shut at every n: its last chord ends at
-    its first point itself. It encloses no area in fewer than 3 pieces: cut so, it raises ``ValueError``.
-    """
-    if intervals < 1:
-        raise ValueError(f"need at least one interval, got {intervals}")
-    func, start = curve.func, curve.start
-    width = (curve.end - start) / intervals
-    first = previous = func(start)
-    for i in range(intervals - 1):
-        sample = func(start + (i + 0.5) * width)
-        following = func(start + (i + 1) * width)
-        yield previous, sample, following
-        previous = following
-    sample, end = func(start + (intervals - 0.5) * width), func(start + intervals * width)
-    # Relative only: a loop's ends differ by about 2.4e-16 of its radius,
-    # and an absolute bound would call every open curve below it closed.
-    extent = max(displacement(first, p).magnitude() for p in (sample, previous))
-    if displacement(first, end).magnitude() < 1e-9 * extent:
-        if intervals < 3:
-            raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
-        end = first
-    yield previous, sample, end
-
-
 def line_integral(intervals: int, field: Callable[[Position], V], curve: Curve) -> V:
     """Integrate a scalar or vector field along a curve.
 
-    Midpoint samples weighted by chord lengths; see the module docstring.
-    A constant field integrates to (constant) * (polyline arc length).
+    Midpoint samples weighted by chord lengths; see the module docstring. Its n
+    terms are kept in a list, as a built field keeps its n records, and summed
+    from the first. A constant field integrates to (constant) * (polyline arc length).
     """
-    terms = (field(s) * displacement(a, b).magnitude() for a, s, b in _pieces(intervals, curve))
+    terms: list[V] = []
+    _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: field(s) * _length(cx, cy, cz), terms.append)
     return reduce(operator.add, terms)
 
 
@@ -151,54 +130,70 @@ def crossed_line_integral(intervals: int, field: VectorField, curve: Curve) -> V
     """Integrate field x dl along a curve.
 
     Same midpoint scheme as :func:`line_integral`, but each term crosses
-    the sampled field value with the chord *vector*, in that order. A
-    closed curve is cut shut at every n, so its chords telescope and a
-    constant field integrates to zero up to their rounding and summation.
+    the sampled field value with the chord *vector*, in that order, and sums
+    its list of n terms from ``ZERO``. A closed curve is cut shut at every n,
+    so its chords telescope and a constant field integrates to zero up to
+    their rounding and summation.
     """
-    return sum((field(s).cross(displacement(a, b)) for a, s, b in _pieces(intervals, curve)), ZERO)
+    terms: list[Vec3] = []
+    _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: field(s).cross(Vec3(cx, cy, cz)), terms.append)
+    return sum(terms, ZERO)
 
 
-def _quadrature(intervals: int, curve: Curve, layout: str, record: Callable[..., bytes]) -> tuple[array, float]:
-    """A curve's pieces as one flat float array, and the reach of their samples.
+def _quadrature(intervals: int, curve: Curve, record: Callable[..., T], store: Callable[[T], object]) -> float:
+    """The one sampling loop: cut a curve into n equal parameter pieces, ``store`` each one's ``record``, return the reach.
 
-    Per piece, in parameter order: ``record(pack, sample, x, y, z, cx, cy, cz)`` packs the floats a kernel reads of
-    its midpoint sample, that sample's coordinates and its chord with ``pack``, ``Struct(layout).pack``, and one
-    ``frombytes`` appends them: no float passes through the array's per-item setter. A curve point or density that is
-    not a real number within the float range will not pack; it raises the one ``TypeError`` of either source's build,
-    also where the record's own arithmetic refuses such a point first. Any other ``TypeError`` passes unchanged.
-    Each point is one curve call, 2n + 1 per build; an interior chord end's coordinates are read twice, as one piece's
-    end and the next one's start. The reach, three times the farthest a chord end lies from its own sample and at least
-    2**-340 m, covers every point within one chord length of a chord or a sample: no chord is longer than twice that.
+    It calls ``curve.func`` 2n + 1 times, in parameter order: at the start, then at each piece's midpoint and end, and
+    reads each point's coordinates once. Per piece, ``store(record(sample, x, y, z, cx, cy, cz))`` gets the midpoint
+    sample, its coordinates and the chord from the piece's start to its end. A closed curve, whose end comes back to its
+    start, is cut shut at every n: its last chord ends at its first point itself, and in fewer than 3 pieces, which
+    enclose no area, it raises ``ValueError``. The reach, three times the farthest a chord end lies from its own sample
+    and at least 2**-340 m, covers every point within one chord length of a chord or a sample: no chord is longer than
+    twice that. One boundary covers the closure test, the record and the reach compare: a curve point, or a number a
+    record packs, that is not a real number within the float range raises the one ``TypeError`` below. Any other
+    ``TypeError``, such as one raised inside a user's density or integrand, passes unchanged.
     """
     from struct import Struct, error  # here, not at the top: without site, a run that builds no field does not load it
 
-    pack = Struct(layout).pack
-    pieces = array("d")
-    store = pieces.frombytes
+    if intervals < 1:
+        raise ValueError(f"need at least one interval, got {intervals}")
+    func, start = curve.func, curve.start
+    width = (curve.end - start) / intervals
+    first = func(start)
+    p, q, r = d, f, g = first.x, first.y, first.z  # the first point, and the first chord's start
+    last = intervals - 1
     farthest = 0.0  # squared, from a sample to the farther end of its chord; a NaN distance never replaces it
     try:  # a struct.error anywhere in the loop is the one TypeError below
-        for start, sample, end in _pieces(intervals, curve):
+        for i in range(intervals):
+            sample, end = func(start + (i + 0.5) * width), func(start + (i + 1) * width)
             # by threes: CPython assigns up to three names without building a tuple
             x, y, z = sample.x, sample.y, sample.z
-            a, b, c = start.x, start.y, start.z
+            a, b, c = d, f, g
             d, f, g = end.x, end.y, end.z
             try:  # from CPython 3.11 a try costs nothing until something is raised
-                store(record(pack, sample, x, y, z, d - a, f - b, g - c))
-            except TypeError:  # E's chord length compares a complex chord before its record packs
+                if i == last:  # the closure test, once. Relative only: a loop's ends differ by about 2.4e-16
+                    # of its radius, and an absolute bound would call every open curve below it closed.
+                    extent = max(_length(x - p, y - q, z - r), _length(a - p, b - q, c - r))
+                    if _length(d - p, f - q, g - r) < 1e-9 * extent:
+                        if intervals < 3:
+                            raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
+                        d, f, g = p, q, r
+                store(record(sample, x, y, z, d - a, f - b, g - c))
+                ux, uy, uz = x - a, y - b, z - c
+                u = ux * ux + uy * uy + uz * uz
+                if u > farthest:
+                    farthest = u
+                ux, uy, uz = x - d, y - f, z - g
+                u = ux * ux + uy * uy + uz * uz
+                if u > farthest:
+                    farthest = u
+            except TypeError:  # a length or a compare of complex numbers refuses them before any pack does
                 Struct("6d").pack(x, y, z, d - a, f - b, g - c)  # points that will not pack raise error: the curve's fault
                 raise  # else the record's own, such as a TypeError raised inside a user's density
-            ux, uy, uz = x - a, y - b, z - c
-            u = ux * ux + uy * uy + uz * uz
-            if u > farthest:
-                farthest = u
-            ux, uy, uz = x - d, y - f, z - g
-            u = ux * ux + uy * uy + uz * uz
-            if u > farthest:
-                farthest = u
     except error:  # struct.error is no TypeError, which is what a number that is not real raises elsewhere
         raise TypeError("curve points and densities must be real numbers within the float range") from None
     # a bare root: the floor hides its underflow, and where it overflows every point is refused either way
-    return pieces, max(3.0 * math.sqrt(farthest), _NEAREST)
+    return max(3.0 * math.sqrt(farthest), _NEAREST)
 
 
 def _result(x: float, y: float, z: float, constant: float, e: int, strength: float, p: tuple[float, float, float]) -> Vec3:
@@ -239,11 +234,13 @@ def electric_field_of_line_charge(
     that a cubed distance overflows (beyond about 5.6e102 m, whatever the
     strength), or where the field overflows or, for a charged source, has
     no normal component, raises :class:`DomainError` naming the point, not garbage.
-    Its build record, ``record(pack, s, x, y, z, cx, cy, cz)``, packs ``(x, y, z, density(s), chord length)`` as
-    ``"5d"``, then each density is scaled in place by 2**-e; a point or density that will not pack raises ``TypeError``.
+    Its build record packs ``(x, y, z, density(s), chord length)`` as ``"5d"``, one ``frombytes`` each, then each density
+    is scaled in place by 2**-e; a point or density that will not pack raises :func:`_quadrature`'s ``TypeError``.
     """
-    pieces, reach = _quadrature(
-        intervals, curve, "5d", lambda pack, s, x, y, z, cx, cy, cz: pack(x, y, z, density(s), _length(cx, cy, cz)))
+    from struct import Struct  # here, not at the top: without site, a run that builds no field does not load it
+    pack, pieces = Struct("5d").pack, array("d")
+    reach = _quadrature(
+        intervals, curve, lambda s, x, y, z, cx, cy, cz: pack(x, y, z, density(s), _length(cx, cy, cz)), pieces.frombytes)
     # densities by 2**-e, so that over every finite cube the densest term is a normal float; in place, and a
     # block at a time, so that the build's peak holds one block, not a second column
     with memoryview(pieces)[3::5] as densities:
@@ -285,10 +282,12 @@ def magnetic_field_of_line_current(
     down as well as up, and each evaluation scales its sum back once, so the field is exactly linear in the current.
     Evaluating nearer a sample than the reach, so far that a cubed distance overflows (beyond about 5.6e102 m, whatever
     the strength), or where the field itself overflows or, for a current that is not 0, has no normal component,
-    raises :class:`DomainError` naming the point. Its build record, ``record(pack, s, x, y, z, cx, cy, cz)``, packs
-    ``(x, y, z, cx, cy, cz)`` as ``"6d"``; a curve point that will not pack raises :func:`_quadrature`'s ``TypeError``.
+    raises :class:`DomainError` naming the point. Its build record packs ``(x, y, z, cx, cy, cz)`` as ``"6d"``, stored by
+    one ``frombytes`` each; a curve point that will not pack raises :func:`_quadrature`'s ``TypeError``.
     """
-    pieces, reach = _quadrature(intervals, curve, "6d", lambda pack, s, x, y, z, cx, cy, cz: pack(x, y, z, cx, cy, cz))
+    from struct import Struct  # here, not at the top: without site, a run that builds no field does not load it
+    pack, pieces = Struct("6d").pack, array("d")
+    reach = _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: pack(x, y, z, cx, cy, cz), pieces.frombytes)
     e = math.frexp(current)[1] - 3  # the current into [4, 8) by 2**-e, up or down: it has no weaker company to lose
     current = math.ldexp(current, -e)
 

@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 from array import array
+from struct import Struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from mechfield.fields import (
     BIOT_SAVART_CONSTANT,
     COULOMB_CONSTANT,
     Curve,
-    _pieces,
     _quadrature,
     circular_loop,
     crossed_line_integral,
@@ -39,6 +39,46 @@ def loop_field_on_axis(radius: float, current: float, z: float) -> float:
 def finite_line_field(lam: float, length: float, d: float) -> float:
     """Analytic field on the perpendicular bisector of a finite line charge."""
     return COULOMB_CONSTANT * lam * length / (d * math.sqrt(d * d + length * length / 4.0))
+
+
+def plain_cut(intervals, curve):
+    """A curve's n + 1 chord ends and n midpoint samples, each its own curve call, with no closure rule: an oracle."""
+    width = (curve.end - curve.start) / intervals
+    ends = [curve.func(curve.start + i * width) for i in range(intervals + 1)]
+    samples = [curve.func(curve.start + (i + 0.5) * width) for i in range(intervals)]
+    return ends, samples
+
+
+def plain_chords(ends):
+    """The chords between consecutive ends, as coordinate tuples."""
+    return [(b.x - a.x, b.y - a.y, b.z - a.z) for a, b in zip(ends, ends[1:])]
+
+
+def quadrature_chords(intervals, curve):
+    """The chords ``_quadrature`` hands its records, as coordinate tuples in parameter order."""
+    chords = []
+    _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: (cx, cy, cz), chords.append)
+    return chords
+
+
+# Every consumer of a curve's cut, given the curve and its intervals: both field builds and both line integrals.
+CONSUMERS = {
+    "e-line": lambda curve, n: electric_field_of_line_charge(lambda p: 1.0, curve, n),
+    "b-loop": lambda curve, n: magnetic_field_of_line_current(1.0, curve, n),
+    "line-integral": lambda curve, n: line_integral(n, lambda p: 1.0, curve),
+    "crossed-line-integral": lambda curve, n: crossed_line_integral(n, lambda p: X_HAT, curve),
+}
+
+
+def counted(curve):
+    """A copy of ``curve`` whose func also records each parameter it is called at, and that list."""
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return curve.func(t)
+
+    return curve._replace(func=func), calls
 
 
 class TestCurves:
@@ -137,15 +177,9 @@ class TestClosedCurves:
     @pytest.mark.parametrize("radius", [1e-300, 0.7, 1e6])
     @pytest.mark.parametrize("intervals", [1, 2])
     def test_loop_in_fewer_than_three_pieces_is_refused(self, radius, intervals):
-        loop = circular_loop(radius)
-        for integrate in (
-            lambda: line_integral(intervals, lambda p: 1.0, loop),
-            lambda: crossed_line_integral(intervals, lambda p: Z_HAT, loop),
-            lambda: electric_field_of_line_charge(lambda p: 1e-9, loop, intervals),
-            lambda: magnetic_field_of_line_current(1.0, loop, intervals),
-        ):
+        for consume in CONSUMERS.values():
             with pytest.raises(ValueError, match="closed curve needs at least 3 intervals"):
-                integrate()
+                consume(circular_loop(radius), intervals)
 
     def test_open_curves_take_any_number_of_pieces(self):
         almost_loop = Curve(circular_loop(1.0).func, 0.0, 2.0 * math.pi - 1e-6)
@@ -157,12 +191,13 @@ class TestClosedCurves:
     def test_loop_is_cut_shut_and_its_chords_telescope(self, radius):
         loop = circular_loop(radius)
         for intervals in [*range(3, 65), 100, 1000, 4999]:
-            pieces = list(_pieces(intervals, loop))
-            assert repr(pieces[-1][2]) == repr(pieces[0][0]), intervals  # the last chord ends at the first point
-            chords = [displacement(a, b) for a, _, b in pieces]
+            ends, _ = plain_cut(intervals, loop)
+            ends[-1] = ends[0]  # the last chord ends at the first point itself, not where func puts the end
+            chords = quadrature_chords(intervals, loop)
+            assert repr(chords) == repr(plain_chords(ends)), intervals  # bit for bit, -0.0 too
             # the exact differences of a shut polygon's vertices sum to 0, and each rounds by at most 2**-53 of itself
             sums = [math.fsum(c[i] for c in chords) for i in range(3)]
-            assert max(map(abs, sums)) <= 2.0**-53 * math.fsum(c.magnitude() for c in chords), intervals
+            assert max(map(abs, sums)) <= 2.0**-53 * math.fsum(math.hypot(*c) for c in chords), intervals
             if intervals in (100, 1000):
                 assert sums == [0.0, 0.0, 0.0]
 
@@ -170,9 +205,8 @@ class TestClosedCurves:
         almost_loop = Curve(circular_loop(1.0).func, 0.0, 2.0 * math.pi - 1e-6)
         for curve in (line_segment(1.0), almost_loop):
             for intervals in (1, 2, 3, 1000):
-                *_, (_, _, end) = _pieces(intervals, curve)
-                width = (curve.end - curve.start) / intervals
-                assert repr(end) == repr(curve.func(curve.start + intervals * width))
+                ends, _ = plain_cut(intervals, curve)  # the last end at func(start + n * width)
+                assert repr(quadrature_chords(intervals, curve)) == repr(plain_chords(ends)), intervals
 
 
 class TestCrossedLineIntegral:
@@ -617,22 +651,14 @@ def on_source(curve, intervals, point) -> bool:
     The reach is three times the farthest a chord end lies from its own
     sample, and at least 2**-340 m.
     """
-    width = (curve.end - curve.start) / intervals
-    ends = [curve.func(curve.start + i * width) for i in range(intervals + 1)]
-    samples = [curve.func(curve.start + (i + 0.5) * width) for i in range(intervals)]
+    ends, samples = plain_cut(intervals, curve)
     farthest = max(displacement(e, s).magnitude() for i, s in enumerate(samples) for e in ends[i:i + 2])
     reach = max(3.0 * farthest, 2.0**-340)
     return min(displacement(s, point).magnitude() for s in samples) < reach
 
 
 def counting_helix():
-    calls = []
-
-    def func(t):
-        calls.append(t)
-        return Position(0.6 * math.cos(t), 0.6 * math.sin(t), 0.1 * t)
-
-    return Curve(func, -1.0, 5.0), calls
+    return counted(Curve(lambda t: Position(0.6 * math.cos(t), 0.6 * math.sin(t), 0.1 * t), -1.0, 5.0))
 
 
 class TestBuiltOnce:
@@ -738,11 +764,21 @@ def captured(field) -> dict:
 
 
 def max_quadrature(intervals, curve, record):
-    """The build pass written plainly, an oracle: each end's coordinates read twice,
-    ``record(sample, cx, cy, cz)`` reading the sample's again, and ``max`` keeping the farthest."""
+    """The build pass written plainly on a plain cut, an oracle: the closure rule applied to the whole cut, each end's
+    coordinates read twice, ``record(sample, cx, cy, cz)`` reading the sample's again, and ``max`` keeping the farthest."""
+    ends, samples = plain_cut(intervals, curve)
+    first = ends[0]
+
+    def distance(p):
+        return math.hypot(p.x - first.x, p.y - first.y, p.z - first.z)
+
+    if distance(ends[-1]) < 1e-9 * max(distance(samples[-1]), distance(ends[-2])):  # closed: cut it shut
+        if intervals < 3:
+            raise ValueError(f"a closed curve needs at least 3 intervals, got {intervals}")
+        ends[-1] = first
     pieces = array("d")
     farthest = 0.0
-    for start, sample, end in _pieces(intervals, curve):
+    for start, sample, end in zip(ends, samples, ends[1:]):
         x, y, z, a, b, c = sample.x, sample.y, sample.z, start.x, start.y, start.z
         pieces.extend(record(sample, end.x - a, end.y - b, end.z - c))
         ux, uy, uz, vx, vy, vz = x - a, y - b, z - c, x - end.x, y - end.y, z - end.z
@@ -779,7 +815,13 @@ class TestBuildPass:
                 return str(error)
             return pieces.tobytes(), repr(reach)  # bytes: NaNs compare, and -0.0 differs from 0.0
 
-        got = outcome(lambda: _quadrature(intervals, curve, "9d", lambda pack, s, x, y, z, cx, cy, cz: pack(s.x, s.y, s.z, x, y, z, cx, cy, cz)))
+        def quadrature():
+            pack, pieces = Struct("9d").pack, array("d")
+            reach = _quadrature(intervals, curve, lambda s, x, y, z, cx, cy, cz: pack(s.x, s.y, s.z, x, y, z, cx, cy, cz),
+                                pieces.frombytes)
+            return pieces, reach
+
+        got = outcome(quadrature)
         want = outcome(lambda: max_quadrature(intervals, curve, lambda s, cx, cy, cz: (s.x, s.y, s.z) * 2 + (cx, cy, cz)))
         assert got == want
 
@@ -822,21 +864,20 @@ class TestBuildPass:
         with pytest.raises(TypeError, match=NOT_REAL):
             electric_field_of_line_charge(lambda p: value, line_segment(1.0), 10)
 
-    def test_a_curve_point_that_is_not_a_real_number_is_refused_at_build(self):
+    @pytest.mark.parametrize("consume", CONSUMERS.values(), ids=list(CONSUMERS))
+    def test_a_curve_point_that_is_not_a_real_number_is_refused_at_build(self, consume):
+        # E's chord length and the line integral's compare the complex chord before anything packs, and the crossed
+        # integral's term takes it: its reach compares a complex distance
         curve = Curve(lambda t: Position(complex(t), 0.0, t), 0.0, 1.0)
         with pytest.raises(TypeError, match=NOT_REAL):
-            magnetic_field_of_line_current(1.0, curve, 10)
-        with pytest.raises(TypeError, match=NOT_REAL):  # E's chord length compares the complex chord before it packs
-            electric_field_of_line_charge(lambda p: 1.0, curve, 10)
+            consume(curve, 10)
 
-    @pytest.mark.parametrize("build", [lambda curve: electric_field_of_line_charge(lambda p: 1.0, curve, 10),
-                                       lambda curve: magnetic_field_of_line_current(1.0, curve, 10)],
-                             ids=["e-line", "b-loop"])
-    def test_a_chord_end_that_is_not_a_real_number_is_refused_at_build(self, build):
+    @pytest.mark.parametrize("consume", CONSUMERS.values(), ids=list(CONSUMERS))
+    def test_a_chord_end_that_is_not_a_real_number_is_refused_at_build(self, consume):
         # only the first point is complex: every sample is real, and so are the coordinates of every other chord end
         curve = Curve(lambda t: Position(0.0, 0.0, complex(t) if t == 0.0 else t), 0.0, 1.0)
         with pytest.raises(TypeError, match=NOT_REAL):
-            build(curve)
+            consume(curve, 10)
 
     def test_a_type_error_raised_inside_a_density_is_the_densitys_own(self):
         def density(p):
@@ -844,3 +885,24 @@ class TestBuildPass:
 
         with pytest.raises(TypeError, match=r"^the density's own$"):
             electric_field_of_line_charge(density, line_segment(1.0), 10)
+
+    @pytest.mark.parametrize("integrate", [line_integral, crossed_line_integral], ids=["line-integral", "crossed-line-integral"])
+    def test_a_type_error_raised_inside_an_integrand_is_the_integrands_own(self, integrate):
+        def integrand(p):
+            raise TypeError("the integrand's own")
+
+        with pytest.raises(TypeError, match=r"^the integrand's own$"):
+            integrate(10, integrand, line_segment(1.0))
+
+    @pytest.mark.parametrize("consume", CONSUMERS.values(), ids=list(CONSUMERS))
+    @pytest.mark.parametrize(("name", "intervals"), [("helix", 1), ("helix", 50), ("loop", 3), ("loop", 50)])
+    def test_the_curve_is_called_2n_plus_1_times_in_parameter_order(self, consume, name, intervals):
+        curve, calls = counting_helix() if name == "helix" else counted(circular_loop(0.8))
+        made = consume(curve, intervals)
+        width = (curve.end - curve.start) / intervals
+        # the start, then each piece's midpoint and end; a closed curve's last end is called too
+        assert calls == [curve.start, *(curve.start + (i + k) * width for i in range(intervals) for k in (0.5, 1))]
+        if callable(made):  # a built field, which calls its curve no more when it is evaluated
+            for point in (Position(9.0, 8.0, 7.0), Position(-9.0, 0.0, 3.0)):
+                made(point)
+            assert len(calls) == 2 * intervals + 1
